@@ -46,6 +46,7 @@ from .koszul import (
 )
 from .critical import (
     INFINITE,
+    Crit,
     CriticalPointReport,
     EngineError,
     HessianData,

@@ -16,19 +16,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
-from .critical import (
-    INFINITE,
-    SplittingData,
-    SplittingError,
-    build_crit,
-    fat_point_signal,
-    lambda_equivalence_verdict,
-    milnor_number,
-    normal_hessian,
-    phi_comparison,
-    point_report,
-    validate_splitting,
-)
+from .critical import INFINITE, Crit, SplittingData, SplittingError, fat_point_signal
+from .groebner import krull_dimension
 from .koszul import BoundTooSmall, koszul_homology
 from .polynomials import ArityError, GREVLEX, MultiPoly, ParseError, parse_polynomial
 from .symplectic import OneForm, omega_minus_one, zero_locus_one_form
@@ -163,7 +152,8 @@ def _poly_str(p: MultiPoly, names: Sequence[str]) -> str:
     return p.to_string(names, GREVLEX)
 
 
-def _strict_locus_section(locus, mu, names) -> dict:
+def _strict_locus_section(crit: Crit, names) -> dict:
+    locus, mu = crit.locus, crit.milnor
     return {
         "groebner_basis": [_poly_str(g, names) for g in locus.jacobian_basis.generators],
         "monomial_order": locus.jacobian_basis.order.kind,
@@ -173,19 +163,16 @@ def _strict_locus_section(locus, mu, names) -> dict:
     }
 
 
-def _homology_section(K, bound) -> tuple[dict, bool]:
-    """Homology table as JSON-safe data; second value flags inconclusive."""
+def _bound_error(exc: BoundTooSmall) -> dict:
+    return {"error": "bound too small", "bound": exc.bound, "minimal_safe_bound": exc.minimal}
+
+
+def _homology_section(homology, bound) -> tuple[dict, bool]:
+    """Table of ``homology(bound)`` as JSON-safe data; second value flags inconclusive."""
     try:
-        rep = koszul_homology(K, bound)
+        rep = homology(bound)
     except BoundTooSmall as exc:
-        return (
-            {
-                "error": "bound too small",
-                "bound": exc.bound,
-                "minimal_safe_bound": exc.minimal,
-            },
-            True,
-        )
+        return _bound_error(exc), True
     section = {
         "mode": rep.mode,
         "bound": rep.bound,
@@ -199,11 +186,11 @@ def _homology_section(K, bound) -> tuple[dict, bool]:
     return section, False
 
 
-def _point_section(f, pts, names) -> tuple[list[dict], int]:
+def _point_section(crit: Crit, pts) -> tuple[list[dict], int]:
     reports = []
     on_locus = set()
     for pt in pts:
-        r = point_report(f, pt)
+        r = crit.point_report(pt)
         if r.on_locus:
             on_locus.add(r.point)
         reports.append(
@@ -234,123 +221,117 @@ def _lambda_section(verdict) -> dict:
     }
 
 
+# Each subcommand fills its sections of ``data`` and returns True when a
+# verdict is inconclusive.
+def _oneform(request: AnalysisRequest, names: list[str], data: dict) -> bool:
+    if not request.one_form:
+        raise InputError("subcommand 'oneform' requires --alpha")
+    comps = []
+    for chunk in request.one_form.split(";"):
+        try:
+            comps.append(parse_polynomial(chunk, names))
+        except ParseError as exc:
+            raise InputError(f"cannot parse one-form component: {exc}") from None
+    if len(comps) != len(names):
+        raise InputError(f"one-form has {len(comps)} components, expected {len(names)}")
+    result = zero_locus_one_form(OneForm(tuple(comps)))
+    K = result.complex
+    record = omega_minus_one(len(names), K)
+    dim = krull_dimension(K.basis)
+    hsection, inconclusive = _homology_section(lambda b: koszul_homology(K, b), request.bound)
+    data["one_form"] = {
+        "components": [_poly_str(c, names) for c in comps],
+        "closed": result.closed,
+        "lagrangian_flag": result.lagrangian_flag,
+        "symplectic_claim": result.symplectic_claim,
+        "pairing_internal_differential_vanishes": record.internal_closed,
+        "zero_locus_groebner_basis": [_poly_str(g, names) for g in K.basis.generators],
+        "zero_locus_dimension": "empty" if dim is None else dim,
+        "homology": hsection,
+    }
+    return inconclusive
+
+
+def _point(crit: Crit, request: AnalysisRequest, names: list[str], data: dict) -> bool:
+    if not request.points:
+        raise InputError("subcommand 'point' requires at least one --point")
+    return False
+
+
+def _analyze(crit: Crit, request: AnalysisRequest, names: list[str], data: dict) -> bool:
+    inconclusive = False
+    try:
+        data["lambda_equivalence"] = _lambda_section(crit.lambda_verdict(request.bound))
+    except BoundTooSmall as exc:
+        data["lambda_equivalence"] = _bound_error(exc)
+        inconclusive = True
+    data["homology"], hflag = _homology_section(crit.homology, request.bound)
+    return inconclusive or hflag
+
+
+def _family(crit: Crit, request: AnalysisRequest, names: list[str], data: dict) -> bool:
+    if request.tangent is None:
+        raise InputError("subcommand 'family' requires --tangent")
+    index = {name: i for i, name in enumerate(names)}
+    try:
+        tangent = [index[t] for t in request.tangent]
+    except KeyError as exc:
+        raise InputError(f"unknown tangent variable {exc.args[0]!r}") from None
+    try:
+        split = crit.validate_splitting(SplittingData.from_tangent(tangent, len(names)))
+    except SplittingError as exc:
+        raise InputError(str(exc)) from None
+    q_matrix, nondeg = crit.normal_hessian(split)
+    phi = crit.phi_comparison(split, request.bound)
+    data["family"] = {
+        "tangent_variables": [names[i] for i in split.tangent_vars],
+        "normal_variables": [names[i] for i in split.normal_vars],
+        "normal_hessian": [
+            [_poly_str(q_matrix.entry(i, j), names) for j in range(q_matrix.ncols)]
+            for i in range(q_matrix.nrows)
+        ],
+        "normal_hessian_nondegenerate": nondeg,
+        "phi_comparison": {
+            "bound": phi.bound,
+            "verdict": phi.verdict,
+            "crit_dimensions": {str(k): list(v) for k, v in sorted(phi.crit_table.items())},
+            "model_dimensions": {str(k): list(v) for k, v in sorted(phi.model_table.items())},
+            "mismatches": [list(m) for m in phi.mismatches],
+            "biconditional_holds": phi.biconditional_holds,
+        },
+    }
+    return phi.verdict == "inconclusive"
+
+
+_CRIT_COMMANDS = {"analyze": _analyze, "family": _family, "point": _point}
+
+
 def run(request: AnalysisRequest) -> AnalysisReport:
     """Execute one analysis request and assemble the deterministic report."""
     names = _variables(request)
-    n = len(names)
     data: dict = {
         "schema": 1,
         "engine_version": __version__,
         "request": _echo(request),
     }
-    inconclusive = False
-
     if request.command == "oneform":
-        if not request.one_form:
-            raise InputError("subcommand 'oneform' requires --alpha")
-        comps = []
-        for chunk in request.one_form.split(";"):
-            try:
-                comps.append(parse_polynomial(chunk, names))
-            except ParseError as exc:
-                raise InputError(f"cannot parse one-form component: {exc}") from None
-        if len(comps) != n:
-            raise InputError(
-                f"one-form has {len(comps)} components, expected {n}"
-            )
-        result = zero_locus_one_form(OneForm(tuple(comps)))
-        record = omega_minus_one(n, result.complex)
-        from .groebner import buchberger, krull_dimension
-
-        gb = buchberger(list(result.complex.diff_images), arity=n)
-        dim = krull_dimension(gb)
-        hsection, hflag = _homology_section(result.complex, request.bound)
-        inconclusive |= hflag
-        data["one_form"] = {
-            "components": [_poly_str(c, names) for c in comps],
-            "closed": result.closed,
-            "lagrangian_flag": result.lagrangian_flag,
-            "symplectic_claim": result.symplectic_claim,
-            "pairing_internal_differential_vanishes": record.internal_closed,
-            "zero_locus_groebner_basis": [_poly_str(g, names) for g in gb.generators],
-            "zero_locus_dimension": "empty" if dim is None else dim,
-            "homology": hsection,
-        }
+        inconclusive = _oneform(request, names, data)
         return AnalysisReport(data, 3 if inconclusive else 0)
 
     f = _parse_functional(request, names)
-    pts = [_parse_point(p, n) for p in request.points]
-    K, locus = build_crit(f)
-    mu = milnor_number(f)
-    point_sections, distinct_on_locus = _point_section(f, pts, names)
-    data["strict_locus"] = _strict_locus_section(locus, mu, names)
+    pts = [_parse_point(p, len(names)) for p in request.points]
+    crit = Crit(f)
+    data["strict_locus"] = _strict_locus_section(crit, names)
     if pts:
-        data["points"] = point_sections
+        data["points"], distinct_on_locus = _point_section(crit, pts)
         data["strict_locus"]["fat_point_signal"] = fat_point_signal(
-            mu, distinct_on_locus
+            crit.milnor, distinct_on_locus
         )
-
-    if request.command == "point":
-        if not pts:
-            raise InputError("subcommand 'point' requires at least one --point")
-        return AnalysisReport(data, 0)
-
-    if request.command == "analyze":
-        try:
-            verdict = lambda_equivalence_verdict(f, request.bound)
-            data["lambda_equivalence"] = _lambda_section(verdict)
-        except BoundTooSmall as exc:
-            data["lambda_equivalence"] = {
-                "error": "bound too small",
-                "bound": exc.bound,
-                "minimal_safe_bound": exc.minimal,
-            }
-            inconclusive = True
-        hsection, hflag = _homology_section(K, request.bound)
-        inconclusive |= hflag
-        data["homology"] = hsection
-        return AnalysisReport(data, 3 if inconclusive else 0)
-
-    if request.command == "family":
-        if request.tangent is None:
-            raise InputError("subcommand 'family' requires --tangent")
-        index = {name: i for i, name in enumerate(names)}
-        try:
-            tangent = [index[t] for t in request.tangent]
-        except KeyError as exc:
-            raise InputError(f"unknown tangent variable {exc.args[0]!r}") from None
-        try:
-            split = validate_splitting(f, SplittingData.from_tangent(tangent, n))
-        except SplittingError as exc:
-            raise InputError(str(exc)) from None
-        q_matrix, nondeg = normal_hessian(f, split)
-        phi = phi_comparison(f, split, request.bound)
-        if phi.verdict == "inconclusive":
-            inconclusive = True
-        data["family"] = {
-            "tangent_variables": [names[i] for i in split.tangent_vars],
-            "normal_variables": [names[i] for i in split.normal_vars],
-            "normal_hessian": [
-                [_poly_str(q_matrix.entry(i, j), names) for j in range(q_matrix.ncols)]
-                for i in range(q_matrix.nrows)
-            ],
-            "normal_hessian_nondegenerate": nondeg,
-            "phi_comparison": {
-                "bound": phi.bound,
-                "verdict": phi.verdict,
-                "crit_dimensions": {
-                    str(k): list(v) for k, v in sorted(phi.crit_table.items())
-                },
-                "model_dimensions": {
-                    str(k): list(v) for k, v in sorted(phi.model_table.items())
-                },
-                "mismatches": [list(m) for m in phi.mismatches],
-                "biconditional_holds": phi.biconditional_holds,
-            },
-        }
-        return AnalysisReport(data, 3 if inconclusive else 0)
-
-    raise InputError(f"unknown subcommand {request.command!r}")
+    command = _CRIT_COMMANDS.get(request.command)
+    if command is None:
+        raise InputError(f"unknown subcommand {request.command!r}")
+    inconclusive = command(crit, request, names, data)
+    return AnalysisReport(data, 3 if inconclusive else 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -383,8 +364,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUE_OPTIONS = {"--vars", "--f", "--alpha", "--point", "--tangent", "--bound", "--format"}
+
+
+def _join_values(argv: Sequence[str]) -> list[str]:
+    """Write each value-taking option and its separate value as ``--opt=value``,
+    so that argparse does not read a value such as ``-3*x^4`` as a flag."""
+    joined: list[str] = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg in _VALUE_OPTIONS else None
+        joined.append(arg if value is None else f"{arg}={value}")
+    return joined
+
+
 def request_from_args(argv: Sequence[str]) -> AnalysisRequest:
-    ns = _build_parser().parse_args(argv)
+    ns = _build_parser().parse_args(_join_values(argv))
     return AnalysisRequest(
         command=ns.command,
         variables=tuple(v.strip() for v in ns.vars.split(",") if v.strip()),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,13 +27,15 @@ from .groebner import (
 )
 from .koszul import (
     BoundTooSmall,
+    HomologyReport,
     KoszulComplex,
     default_homology_bound,
     koszul_homology,
     minimal_safe_bound,
 )
 from .linalg import PolyMatrix, invert
-from .polynomials import ArityError, GREVLEX, MonomialOrder, MultiPoly
+from .polynomials import ArityError, GREVLEX, MultiPoly
+from .symplectic import OmegaVerification, omega_minus_one
 
 INFINITE = math.inf  # sentinel for a non-isolated singular locus
 
@@ -126,74 +129,251 @@ class PhiComparisonReport:
         return (self.verdict == "equal") == self.normal_hessian_nondegenerate
 
 
-def jacobian_ideal(f: MultiPoly, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-    return buchberger([f.partial(i) for i in range(f.arity)], order, arity=f.arity)
+class Crit:
+    """The derived critical locus Crit(f) of one functional.
+
+    Holds the Koszul model of f and computes each piece that the analyses
+    read lazily and at most once: the strict locus, the Milnor number, the
+    Hessian, the pairing check of the shifted 2-form, the normal ideal and
+    normal Hessian of a splitting, and the Koszul homology at each bound.
+    """
+
+    def __init__(self, f: MultiPoly):
+        self.f = f
+        self.complex = KoszulComplex(
+            f.arity, tuple(f.partial(i) for i in range(f.arity)), "critical_locus"
+        )
+        self._memo: dict[tuple, object] = {}
+
+    def _once(self, key: tuple, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    @cached_property
+    def locus(self) -> StrictLocus:
+        gb = self.complex.basis
+        return StrictLocus(gb, krull_dimension(gb), is_zero_dimensional(gb))
+
+    @cached_property
+    def milnor(self) -> int | float:
+        """Dimension of the Jacobian quotient ring; INFINITE when not isolated."""
+        if not self.locus.zero_dimensional:
+            return INFINITE
+        return len(quotient_basis(self.locus.jacobian_basis))
+
+    @cached_property
+    def hessian(self) -> HessianData:
+        return hessian(self.f)
+
+    @cached_property
+    def omega(self) -> OmegaVerification:
+        # the pairing block of the shifted 2-form in coordinates is the
+        # identity; verified rather than assumed
+        return omega_minus_one(self.f.arity, self.complex)
+
+    def homology(self, bound: int | None) -> HomologyReport:
+        """Koszul homology at ``bound`` (None: the default bound)."""
+        if bound is None:
+            bound = default_homology_bound(self.complex)
+        return self._once(("homology", bound), lambda: koszul_homology(self.complex, bound))
+
+    def lambda_verdict(self, bound: int | None) -> LambdaVerdict:
+        """Decide whether the partials form a regular sequence.
+
+        Height criterion: over a polynomial ring the n partials are regular
+        iff the Jacobian quotient is zero-dimensional (the unit ideal counts:
+        both loci are then empty).  Koszul homology in degrees k >= 1 is an
+        independent cross-check; disagreement raises EngineError.
+        """
+        locus = self.locus
+        regular = locus.zero_dimensional
+        if locus.dimension is None:
+            criterion = "unit Jacobian ideal: strict and derived loci are both empty"
+        elif regular:
+            criterion = "Jacobian quotient has dimension 0 (height n over a Cohen-Macaulay ring)"
+        else:
+            criterion = f"Jacobian quotient has dimension {locus.dimension} > 0"
+        if bound is None:
+            bound = default_homology_bound(self.complex)
+            if not self.complex.is_weight_graded():
+                # the truncated path is quadratic in the basis; keep it modest
+                bound = min(bound, minimal_safe_bound(self.complex) + 3)
+        report = self.homology(bound)
+        positive = {
+            k: (report.dimensions[k] if report.mode == "finite" else sum(report.table[k]))
+            for k in range(1, self.f.arity + 1)
+        }
+        any_positive = any(v != 0 for v in positive.values())
+        if regular and any_positive:
+            raise EngineError(
+                "height criterion says regular sequence but positive-degree homology is nonzero"
+            )
+        cross = "confirms" if regular or any_positive else "inconclusive within bound"
+        return LambdaVerdict(
+            regular=regular,
+            criterion=criterion,
+            dimension=locus.dimension,
+            positive_degree_dimensions=positive,
+            homology_bound=bound,
+            cross_check=cross,
+        )
+
+    def point_report(self, point: Sequence) -> CriticalPointReport:
+        """Local analysis at a rational point: Hessian, inverse-Hessian map.
+
+        At a non-degenerate critical point the non-degeneracy map of the
+        Lagrangian fibration is the inverse Hessian; off the strict locus no
+        such map is reported.
+        """
+        pt = tuple(Fraction(x) for x in point)
+        if len(pt) != self.f.arity:
+            raise ArityError("point arity mismatch")
+        on_locus = all(g.evaluate(pt) == 0 for g in self.complex.diff_images)
+        hess = self.hessian.matrix.evaluate(pt)
+        alpha = invert(hess) if on_locus else None
+        nondegenerate = on_locus and alpha is not None
+        return CriticalPointReport(
+            point=pt,
+            on_locus=on_locus,
+            hessian_at=tuple(tuple(row) for row in hess),
+            nondegenerate=nondegenerate,
+            alpha_matrix=tuple(tuple(row) for row in alpha) if nondegenerate and alpha else None,
+            omega_flat_invertible=self.omega.pairing_invertible,
+        )
+
+    def _normal_ideal(self, s: SplittingData) -> GroebnerBasis:
+        n = self.f.arity
+        gens = [MultiPoly.variable(i, n) for i in s.normal_vars]
+        return self._once(
+            ("normal_ideal", s.normal_vars), lambda: buchberger(gens, GREVLEX, arity=n)
+        )
+
+    def validate_splitting(self, s: SplittingData) -> SplittingData:
+        """Check that the coordinate subspace S0 = {x_j = 0, j normal} realizes
+        the strict critical locus and is Q-orthogonal to the normal directions.
+
+        (a) every partial of f lies in the ideal of S0 (so S0 is contained in
+            the strict locus) and the two loci have the same dimension;
+        (b) the Hessian blocks tangent-tangent and tangent-normal vanish
+            modulo the ideal of S0.
+        """
+        n = self.f.arity
+        if set(s.tangent_vars) | set(s.normal_vars) != set(range(n)) or set(
+            s.tangent_vars
+        ) & set(s.normal_vars):
+            raise ValueError("tangent and normal variables must partition the coordinates")
+        gb_n = self._normal_ideal(s)
+        for i, g in enumerate(self.complex.diff_images):
+            if not normal_form(g, gb_n).is_zero():
+                raise SplittingError(
+                    "not_tangent",
+                    "splitting not tangent to critical locus: partial derivative "
+                    f"{i} of the functional does not vanish modulo the subspace ideal",
+                )
+        locus_dim = self.locus.dimension
+        expected = len(s.tangent_vars)
+        if locus_dim != expected:
+            raise SplittingError(
+                "not_tangent",
+                "splitting not tangent to critical locus: the strict locus has "
+                f"dimension {locus_dim}, the coordinate subspace has dimension {expected}",
+            )
+        hess = self.hessian.matrix
+        for i in s.tangent_vars:
+            for j in list(s.tangent_vars) + list(s.normal_vars):
+                if not normal_form(hess.entry(i, j), gb_n).is_zero():
+                    raise SplittingError(
+                        "not_q_orthogonal",
+                        "splitting not Q-orthogonal: Hessian block entry "
+                        f"({i},{j}) does not vanish modulo the subspace ideal",
+                    )
+        return SplittingData(s.tangent_vars, s.normal_vars, validated=True)
+
+    def normal_hessian(self, s: SplittingData) -> tuple[PolyMatrix, bool]:
+        """Normal-normal Hessian block over the family ring, with the
+        non-degeneracy verdict (its determinant is a unit there)."""
+        if not s.validated:
+            raise ValueError("splitting has not been validated")
+        return self._once(("normal_hessian", s.normal_vars), lambda: self._normal_block(s))
+
+    def _normal_block(self, s: SplittingData) -> tuple[PolyMatrix, bool]:
+        gb_n = self._normal_ideal(s)
+        hess = self.hessian.matrix
+        block = PolyMatrix(
+            tuple(
+                tuple(normal_form(hess.entry(i, j), gb_n) for j in s.normal_vars)
+                for i in s.normal_vars
+            )
+        )
+        # an empty block has arity 0, so its determinant is taken by hand
+        det = normal_form(block.det(), gb_n) if s.normal_vars else MultiPoly.one(self.f.arity)
+        return block, is_unit_mod(det, gb_n)
+
+    def phi_comparison(self, s: SplittingData, bound: int | None) -> PhiComparisonReport:
+        """Compare Crit(f) homology against the shifted cotangent model of the
+        family: graded dimensions C(|T|, k) * hilbert(O_S, d), with the wedge
+        generators placed at polynomial degree 0.
+
+        Within the bound, equality of the tables is equivalent to the normal
+        Hessian block being non-degenerate; the report carries both sides so
+        the biconditional can be asserted.
+        """
+        if not s.validated:
+            raise ValueError("splitting has not been validated")
+        n = self.f.arity
+        if bound is None:
+            bound = default_homology_bound(self.complex)
+        _, nondeg = self.normal_hessian(s)
+        try:
+            report = self.homology(bound)
+        except BoundTooSmall:
+            return PhiComparisonReport(
+                bound=bound,
+                crit_table={},
+                model_table={},
+                verdict="inconclusive",
+                normal_hessian_nondegenerate=nondeg,
+                mismatches=(),
+            )
+        hilbert = [hilbert_function(self._normal_ideal(s), d) for d in range(bound + 1)]
+        t_count = len(s.tangent_vars)
+        model = {k: tuple(math.comb(t_count, k) * h for h in hilbert) for k in range(n + 1)}
+        crit_table = {k: report.graded_dimensions(k) for k in range(n + 1)}
+        mismatches = tuple(
+            (k, d, crit_table[k][d], model[k][d])
+            for k in range(n + 1)
+            for d in range(bound + 1)
+            if crit_table[k][d] != model[k][d]
+        )
+        if not report.sliceable:
+            verdict = "inconclusive"
+        else:
+            verdict = "equal" if not mismatches else "unequal"
+        return PhiComparisonReport(
+            bound=bound,
+            crit_table=crit_table,
+            model_table=model,
+            verdict=verdict,
+            normal_hessian_nondegenerate=nondeg,
+            mismatches=mismatches,
+        )
 
 
-def build_crit(f: MultiPoly, order: MonomialOrder = GREVLEX) -> tuple[KoszulComplex, StrictLocus]:
+def build_crit(f: MultiPoly) -> tuple[KoszulComplex, StrictLocus]:
     """Koszul model of the derived critical locus and its strict locus."""
-    partials = tuple(f.partial(i) for i in range(f.arity))
-    complex_ = KoszulComplex(f.arity, partials, "critical_locus")
-    gb = buchberger(list(partials), order, arity=f.arity)
-    locus = StrictLocus(
-        jacobian_basis=gb,
-        dimension=krull_dimension(gb),
-        zero_dimensional=is_zero_dimensional(gb),
-    )
-    return complex_, locus
+    crit = Crit(f)
+    return crit.complex, crit.locus
 
 
-def milnor_number(f: MultiPoly, order: MonomialOrder = GREVLEX) -> int | float:
+def milnor_number(f: MultiPoly) -> int | float:
     """Dimension of the Jacobian quotient ring; INFINITE when not isolated."""
-    gb = jacobian_ideal(f, order)
-    if not is_zero_dimensional(gb):
-        return INFINITE
-    return len(quotient_basis(gb))
+    return Crit(f).milnor
 
 
 def lambda_equivalence_verdict(f: MultiPoly, bound: int | None = None) -> LambdaVerdict:
-    """Decide whether the partials form a regular sequence.
-
-    Height criterion: over a polynomial ring the n partials are regular
-    iff the Jacobian quotient is zero-dimensional (the unit ideal counts:
-    both loci are then empty).  Koszul homology in degrees k >= 1 is an
-    independent cross-check; disagreement raises EngineError.
-    """
-    complex_, locus = build_crit(f)
-    regular = locus.zero_dimensional
-    if locus.dimension is None:
-        criterion = "unit Jacobian ideal: strict and derived loci are both empty"
-    elif regular:
-        criterion = "Jacobian quotient has dimension 0 (height n over a Cohen-Macaulay ring)"
-    else:
-        criterion = f"Jacobian quotient has dimension {locus.dimension} > 0"
-    if bound is None:
-        bound = default_homology_bound(complex_)
-        if not complex_.is_weight_graded():
-            # the truncated path is quadratic in the basis; keep it modest
-            bound = min(bound, minimal_safe_bound(complex_) + 3)
-    report = koszul_homology(complex_, bound)
-    positive = {
-        k: (report.dimensions[k] if report.mode == "finite" else sum(report.table[k]))
-        for k in range(1, f.arity + 1)
-    }
-    any_positive = any(v != 0 for v in positive.values())
-    if regular and any_positive:
-        raise EngineError(
-            "height criterion says regular sequence but positive-degree homology is nonzero"
-        )
-    if regular:
-        cross = "confirms"
-    else:
-        cross = "confirms" if any_positive else "inconclusive within bound"
-    return LambdaVerdict(
-        regular=regular,
-        criterion=criterion,
-        dimension=locus.dimension,
-        positive_degree_dimensions=positive,
-        homology_bound=bound,
-        cross_check=cross,
-    )
+    """Regular-sequence verdict of the partials of f; see Crit.lambda_verdict."""
+    return Crit(f).lambda_verdict(bound)
 
 
 def hessian(f: MultiPoly) -> HessianData:
@@ -211,33 +391,8 @@ def hessian_at(f: MultiPoly, point: Sequence) -> list[list[Fraction]]:
 
 
 def point_report(f: MultiPoly, point: Sequence) -> CriticalPointReport:
-    """Local analysis at a rational point: Hessian, inverse-Hessian map.
-
-    At a non-degenerate critical point the non-degeneracy map of the
-    Lagrangian fibration is the inverse Hessian; off the strict locus no
-    such map is reported.
-    """
-    from .symplectic import omega_minus_one
-
-    pt = tuple(Fraction(x) for x in point)
-    if len(pt) != f.arity:
-        raise ArityError("point arity mismatch")
-    on_locus = all(f.partial(i).evaluate(pt) == 0 for i in range(f.arity))
-    hess = hessian_at(f, pt)
-    alpha = invert(hess) if on_locus else None
-    nondegenerate = on_locus and alpha is not None
-    # the pairing block of the shifted 2-form in coordinates is the
-    # identity; verified rather than assumed
-    K = KoszulComplex(f.arity, tuple(f.partial(i) for i in range(f.arity)), "critical_locus")
-    record = omega_minus_one(f.arity, K)
-    return CriticalPointReport(
-        point=pt,
-        on_locus=on_locus,
-        hessian_at=tuple(tuple(row) for row in hess),
-        nondegenerate=nondegenerate,
-        alpha_matrix=tuple(tuple(row) for row in alpha) if nondegenerate and alpha else None,
-        omega_flat_invertible=record.pairing_invertible,
-    )
+    """Hessian and inverse-Hessian map of f at a rational point."""
+    return Crit(f).point_report(point)
 
 
 def fat_point_signal(milnor: int | float, distinct_points_on_locus: int) -> bool:
@@ -246,127 +401,18 @@ def fat_point_signal(milnor: int | float, distinct_points_on_locus: int) -> bool
     return milnor != INFINITE and milnor > distinct_points_on_locus
 
 
-def _normal_ideal(s: SplittingData, arity: int) -> GroebnerBasis:
-    gens = [MultiPoly.variable(i, arity) for i in s.normal_vars]
-    return buchberger(gens, GREVLEX, arity=arity)
-
-
 def validate_splitting(f: MultiPoly, s: SplittingData) -> SplittingData:
-    """Check that the coordinate subspace S0 = {x_j = 0, j normal} realizes
-    the strict critical locus and is Q-orthogonal to the normal directions.
-
-    (a) every partial of f lies in the ideal of S0 (so S0 is contained in
-        the strict locus) and the two loci have the same dimension;
-    (b) the Hessian blocks tangent-tangent and tangent-normal vanish
-        modulo the ideal of S0.
-    """
-    n = f.arity
-    if set(s.tangent_vars) | set(s.normal_vars) != set(range(n)) or set(
-        s.tangent_vars
-    ) & set(s.normal_vars):
-        raise ValueError("tangent and normal variables must partition the coordinates")
-    gb_n = _normal_ideal(s, n)
-    for i in range(n):
-        residue = normal_form(f.partial(i), gb_n)
-        if not residue.is_zero():
-            raise SplittingError(
-                "not_tangent",
-                "splitting not tangent to critical locus: partial derivative "
-                f"{i} of the functional does not vanish modulo the subspace ideal",
-            )
-    locus_dim = krull_dimension(jacobian_ideal(f))
-    expected = len(s.tangent_vars)
-    if locus_dim != expected:
-        raise SplittingError(
-            "not_tangent",
-            "splitting not tangent to critical locus: the strict locus has "
-            f"dimension {locus_dim}, the coordinate subspace has dimension {expected}",
-        )
-    hess = hessian(f).matrix
-    for i in s.tangent_vars:
-        for j in list(s.tangent_vars) + list(s.normal_vars):
-            if not normal_form(hess.entry(i, j), gb_n).is_zero():
-                raise SplittingError(
-                    "not_q_orthogonal",
-                    "splitting not Q-orthogonal: Hessian block entry "
-                    f"({i},{j}) does not vanish modulo the subspace ideal",
-                )
-    return SplittingData(s.tangent_vars, s.normal_vars, validated=True)
+    """Validate a coordinate splitting of the critical family of f."""
+    return Crit(f).validate_splitting(s)
 
 
 def normal_hessian(f: MultiPoly, s: SplittingData) -> tuple[PolyMatrix, bool]:
-    """Normal-normal Hessian block over the family ring, with the
-    non-degeneracy verdict (its determinant is a unit there)."""
-    if not s.validated:
-        raise ValueError("splitting has not been validated")
-    gb_n = _normal_ideal(s, f.arity)
-    hess = hessian(f).matrix
-    block = PolyMatrix(
-        tuple(
-            tuple(normal_form(hess.entry(i, j), gb_n) for j in s.normal_vars)
-            for i in s.normal_vars
-        )
-    ) if s.normal_vars else PolyMatrix(())
-    if s.normal_vars:
-        det = normal_form(block.det(), gb_n)
-    else:
-        det = MultiPoly.one(f.arity)
-    return block, is_unit_mod(det, gb_n)
+    """Normal Hessian block of f over the family ring, with its verdict."""
+    return Crit(f).normal_hessian(s)
 
 
 def phi_comparison(
     f: MultiPoly, s: SplittingData, bound: int | None = None
 ) -> PhiComparisonReport:
-    """Compare Crit(f) homology against the shifted cotangent model of the
-    family: graded dimensions C(|T|, k) * hilbert(O_S, d), with the wedge
-    generators placed at polynomial degree 0.
-
-    Within the bound, equality of the tables is equivalent to the normal
-    Hessian block being non-degenerate; the report carries both sides so
-    the biconditional can be asserted.
-    """
-    if not s.validated:
-        raise ValueError("splitting has not been validated")
-    n = f.arity
-    complex_, _ = build_crit(f)
-    if bound is None:
-        bound = default_homology_bound(complex_)
-    _, nondeg = normal_hessian(f, s)
-    try:
-        report = koszul_homology(complex_, bound)
-    except BoundTooSmall:
-        return PhiComparisonReport(
-            bound=bound,
-            crit_table={},
-            model_table={},
-            verdict="inconclusive",
-            normal_hessian_nondegenerate=nondeg,
-            mismatches=(),
-        )
-    gb_n = _normal_ideal(s, n)
-    t_count = len(s.tangent_vars)
-    model: dict[int, tuple[int, ...]] = {}
-    for k in range(n + 1):
-        factor = math.comb(t_count, k)
-        model[k] = tuple(
-            factor * hilbert_function(gb_n, d) for d in range(bound + 1)
-        )
-    crit_table = {k: report.graded_dimensions(k) for k in range(n + 1)}
-    mismatches = tuple(
-        (k, d, crit_table[k][d], model[k][d])
-        for k in range(n + 1)
-        for d in range(bound + 1)
-        if crit_table[k][d] != model[k][d]
-    )
-    if not report.sliceable:
-        verdict = "inconclusive"
-    else:
-        verdict = "equal" if not mismatches else "unequal"
-    return PhiComparisonReport(
-        bound=bound,
-        crit_table=crit_table,
-        model_table=model,
-        verdict=verdict,
-        normal_hessian_nondegenerate=nondeg,
-        mismatches=mismatches,
-    )
+    """T*[-1]S comparison for the critical family of f; see Crit.phi_comparison."""
+    return Crit(f).phi_comparison(s, bound)

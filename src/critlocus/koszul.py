@@ -27,11 +27,13 @@ Hessian pairing with a plus sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
 from .groebner import (
+    GroebnerBasis,
     buchberger,
     is_zero_dimensional,
     staircase_degree_bound,
@@ -240,6 +242,11 @@ class KoszulComplex:
 
     def is_weight_graded(self) -> bool:
         return all(g.is_zero() or g.is_homogeneous() for g in self.diff_images)
+
+    @cached_property
+    def basis(self) -> GroebnerBasis:
+        """Grevlex Groebner basis of the ideal of the structure polynomials."""
+        return buchberger(list(self.diff_images), arity=self.arity)
 
 
 def koszul_differential(K: KoszulComplex, element: CdgaElement) -> CdgaElement:
@@ -606,10 +613,7 @@ def _column(
         rest = subset[:t] + subset[t + 1 :]
         sign = 1 if t % 2 == 0 else -1
         for gm, gc in g.terms.items():
-            key = (rest, tuple(a + b for a, b in zip(gm, mono)))
-            idx = target_index.get(key)
-            if idx is None:
-                continue  # truncated away (filtered path only)
+            idx = target_index[(rest, tuple(a + b for a, b in zip(gm, mono)))]
             s = col.get(idx, Fraction(0)) + sign * gc
             if s == 0:
                 col.pop(idx, None)
@@ -647,102 +651,50 @@ def _reduce_cycles(cycles, image: EchelonAccumulator, basis, n: int):
     return reps
 
 
-def _sliced_homology(K: KoszulComplex, bound: int, finite: bool):
+def _filtered_homology(K: KoszulComplex, bound: int, finite: bool, graded: bool):
+    """Homology of the weight-truncated subcomplexes C^{<=d}, d = 0..bound.
+
+    Valid for arbitrary structure polynomials: the differential never raises
+    the weighted degree, so each truncation is a subcomplex.  Table entries
+    are the dimension jumps between consecutive truncations.  A weight-graded
+    differential preserves the degree, so the complex splits into one block
+    per degree and each block is eliminated on its own; otherwise a single
+    block grows through all degrees.  Representatives are collected at the
+    end of each block.
+    """
     n = K.arity
     weights = K.weights()
     table: dict[int, list[int]] = {k: [0] * (bound + 1) for k in range(n + 1)}
     reps: dict[int, list[CdgaElement]] = {k: [] for k in range(n + 1)}
     for d in range(bound + 1):
-        bases = {k: _slice_basis(n, k, d, weights) for k in range(n + 2)}
-        indexes = {
-            k: {key: i for i, key in enumerate(bases[k])} for k in range(n + 2)
-        }
-        ranks = {0: 0}
-        kernels: dict[int, list[Vector]] = {}
-        images: dict[int, EchelonAccumulator] = {}
+        if graded or d == 0:
+            bases: dict[int, list] = {k: [] for k in range(n + 2)}
+            indexes: dict[int, dict] = {k: {} for k in range(n + 2)}
+            trackers = {k: KernelTracker() for k in range(1, n + 2)}
+            kernels: dict[int, list[Vector]] = {k: [] for k in range(1, n + 2)}
+            previous = [0] * (n + 1)
+        blocks = {k: _slice_basis(n, k, d, weights) for k in range(n + 2)}
+        for k, block in blocks.items():
+            indexes[k].update((key, len(bases[k]) + i) for i, key in enumerate(block))
+            bases[k].extend(block)
         for k in range(1, n + 2):
-            tracker = KernelTracker()
-            kernel_vectors: list[Vector] = []
-            for subset, mono in bases[k]:
-                combo = tracker.insert(_column(K, subset, mono, indexes[k - 1]))
-                if combo is not None:
-                    kernel_vectors.append(combo)
-            ranks[k] = tracker.acc.rank
-            kernels[k] = kernel_vectors
-            images[k] = tracker.acc
-        for k in range(n + 1):
-            dim = len(bases[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-            table[k][d] = dim
-            if finite and dim > 0:
-                if k == 0:
-                    cycles = [{i: Fraction(1)} for i in range(len(bases[0]))]
-                else:
-                    cycles = kernels[k]
-                reps[k].extend(_reduce_cycles(cycles, images[k + 1], bases[k], n))
-    return table, reps
-
-
-def _filtered_homology(K: KoszulComplex, bound: int, finite: bool):
-    """Homology of the weight-truncated subcomplexes C^{<=d}, d = 0..bound.
-
-    Valid for arbitrary structure polynomials: the differential never raises
-    the weighted degree, so each truncation is a subcomplex.  Table entries
-    are the dimension jumps between consecutive truncations; for weight-
-    graded inputs these agree with the graded slice dimensions.
-    """
-    n = K.arity
-    weights = K.weights()
-    bases: dict[int, list] = {}
-    indexes: dict[int, dict] = {}
-    counts: dict[int, list[int]] = {}
-    for k in range(n + 2):
-        basis = []
-        per_degree = [0] * (bound + 1)
-        for d in range(bound + 1):
-            block = _slice_basis(n, k, d, weights)
-            basis.extend(block)
-            per_degree[d] = len(block)
-        bases[k] = basis
-        indexes[k] = {key: i for i, key in enumerate(basis)}
-        counts[k] = per_degree
-    trackers = {k: KernelTracker() for k in range(1, n + 2)}
-    kernels: dict[int, list[Vector]] = {k: [] for k in range(1, n + 2)}
-    cumulative: dict[int, list[int]] = {k: [] for k in range(n + 1)}
-    offsets = {k: 0 for k in range(n + 2)}
-    for d in range(bound + 1):
-        for k in range(1, n + 2):
-            start = offsets[k]
-            stop = start + counts[k][d]
-            for subset, mono in bases[k][start:stop]:
-                col = _column(K, subset, mono, indexes[k - 1])
-                combo = trackers[k].insert(col)
+            for subset, mono in blocks[k]:
+                combo = trackers[k].insert(_column(K, subset, mono, indexes[k - 1]))
                 if combo is not None:
                     kernels[k].append(combo)
-            offsets[k] = stop
-        offsets[0] += counts[0][d]
+        dims = [
+            len(bases[k]) - (trackers[k].acc.rank if k else 0) - trackers[k + 1].acc.rank
+            for k in range(n + 1)
+        ]
         for k in range(n + 1):
-            ncols = offsets[k]
-            rank_k = trackers[k].acc.rank if k >= 1 else 0
-            rank_k1 = trackers[k + 1].acc.rank
-            cumulative[k].append(ncols - rank_k - rank_k1)
-    table = {}
-    for k in range(n + 1):
-        row = []
-        prev = 0
-        for d in range(bound + 1):
-            row.append(cumulative[k][d] - prev)
-            prev = cumulative[k][d]
-        table[k] = row
-    reps: dict[int, list[CdgaElement]] = {k: [] for k in range(n + 1)}
-    if finite:
-        for k in range(n + 1):
-            if cumulative[k][bound] == 0:
-                continue
-            if k == 0:
-                cycles = [{i: Fraction(1)} for i in range(len(bases[0]))]
-            else:
-                cycles = kernels[k]
-            reps[k] = _reduce_cycles(cycles, trackers[k + 1].acc, bases[k], n)
+            table[k][d] = dims[k] - previous[k]
+        previous = dims
+        if finite and (graded or d == bound):
+            for k in range(n + 1):
+                if dims[k] == 0:
+                    continue
+                cycles = kernels[k] if k else [{i: Fraction(1)} for i in range(len(bases[0]))]
+                reps[k].extend(_reduce_cycles(cycles, trackers[k + 1].acc, bases[k], n))
     return table, reps
 
 
@@ -759,13 +711,10 @@ def koszul_homology(K: KoszulComplex, bound: int | None = None) -> HomologyRepor
         bound = default_homology_bound(K)
     if bound < minimal:
         raise BoundTooSmall(bound, minimal)
-    gb = buchberger(list(K.diff_images), arity=n)
+    gb = K.basis
     finite = is_zero_dimensional(gb)
     sliceable = K.is_weight_graded()
-    if sliceable:
-        table, reps = _sliced_homology(K, bound, finite)
-    else:
-        table, reps = _filtered_homology(K, bound, finite)
+    table, reps = _filtered_homology(K, bound, finite, sliceable)
     frozen_table = {k: tuple(v) for k, v in table.items()}
     if not finite:
         return HomologyReport(

@@ -147,14 +147,11 @@ def pullback_tautological(alpha: OneForm) -> PullbackRecord:
                      tuple(MultiPoly.zero(n) for _ in range(n)))
     matches = pulled == alpha
     if not matches:
-        raise EngineMismatch(
+        from .critical import EngineError  # critical imports this module
+        raise EngineError(
             "tautological pullback failed to reproduce the 1-form; this is a bug"
         )
     return PullbackRecord(pulled_back=pulled, matches_input=matches)
-
-
-class EngineMismatch(RuntimeError):
-    """A universally valid identity failed; surfaces an engine defect."""
 
 
 def omega_minus_one(arity: int, K: KoszulComplex) -> OmegaVerification:

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from critlocus import cli, critical, koszul
 from critlocus.cli import (
     AnalysisRequest,
     InputError,
@@ -192,3 +197,104 @@ class TestInputValidation:
     def test_unknown_tangent_name(self):
         with pytest.raises(InputError):
             run(req("family", ["x", "y"], functional="x^2", tangent=("q",)))
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def golden_cases():
+    """(argv, file stem) for every corpus command, in text and in json."""
+    for i, (argv, _) in enumerate(GOLDEN_CORPUS):
+        yield argv, f"{i:02d}-text"
+        yield argv + ["--format", "json"], f"{i:02d}-json"
+
+
+def write_golden() -> None:
+    """Record stdout and exit status of every golden case under tests/golden/."""
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    index = []
+    for argv, stem in golden_cases():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            status = main(argv)
+        (GOLDEN_DIR / f"{stem}.out").write_text(out.getvalue())
+        index.append({"argv": argv, "exit_status": status, "stdout": f"{stem}.out"})
+    (GOLDEN_DIR / "index.json").write_text(json.dumps(index, indent=1) + "\n")
+
+
+class TestGoldenOutput:
+    """stdout and exit status are byte-identical to the recorded reports."""
+
+    @pytest.mark.parametrize("argv,stem", list(golden_cases()))
+    def test_matches_recorded_report(self, argv, stem, capsys):
+        index = {e["stdout"]: e for e in json.loads((GOLDEN_DIR / "index.json").read_text())}
+        entry = index[f"{stem}.out"]
+        assert entry["argv"] == argv
+        status = main(argv)
+        assert capsys.readouterr().out == (GOLDEN_DIR / entry["stdout"]).read_text()
+        assert status == entry["exit_status"]
+
+
+class TestOptionValues:
+    def test_functional_starting_with_minus(self, capsys):
+        assert main(["analyze", "--vars", "x", "--f", "-3*x^4", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["request"]["functional"] == "-3*x^4"
+        assert data["strict_locus"]["milnor_number"] == 3
+
+    def test_point_starting_with_minus(self, capsys):
+        argv = ["point", "--vars", "x,y", "--f", "x^2+y^2", "--point", "-1,0", "--format", "json"]
+        assert main(argv) == 0
+        point = json.loads(capsys.readouterr().out)["points"][0]
+        assert point["point"] == ["-1", "0"]
+        assert point["on_locus"] is False
+
+
+class TestComputeOnce:
+    """One request builds one Crit(f): one Groebner basis of the Jacobian
+    ideal, one homology per bound, one pairing check of the 2-form."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in (
+            (koszul, "buchberger"),
+            (critical, "buchberger"),
+            (critical, "koszul_homology"),
+            (cli, "koszul_homology"),
+            (critical, "omega_minus_one"),
+            (cli, "omega_minus_one"),
+            (critical, "is_unit_mod"),
+        ):
+            count(module, name)
+        return counts
+
+    def test_graded_analyze_with_point(self, calls):
+        run(req("analyze", ["x", "y"], functional="x^2+y^2", points=("0,0",)))
+        assert calls["buchberger"] == 1
+        assert calls["koszul_homology"] == 1
+        assert calls["omega_minus_one"] == 1
+
+    def test_point_with_three_points(self, calls):
+        run(req("point", ["x", "y"], functional="x^3+y^3", points=("0,0", "1,1", "1/2,0")))
+        assert calls["buchberger"] == 1
+        assert calls["omega_minus_one"] == 1
+
+    def test_family(self, calls):
+        run(req("family", ["x", "y"], functional="x^2*y", tangent=("y",), bound=8))
+        assert calls["is_unit_mod"] == 1
+        assert calls["koszul_homology"] == 1
+
+
+if __name__ == "__main__":
+    write_golden()

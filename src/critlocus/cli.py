@@ -3,7 +3,8 @@
 Subcommands mirror the analyses: ``analyze`` (critical locus), ``oneform``
 (zero locus of a 1-form), ``family`` (splitting analyses), ``point``
 (single-point reports).  Output is deterministic text or JSON (schema 1);
-exit status 0 on success, 2 on input errors, 3 on inconclusive verdicts.
+exit status 0 on success, 2 on input errors, 3 on inconclusive verdicts,
+4 when an internal cross-check fails.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
-from .critical import INFINITE, Crit, SplittingData, SplittingError, fat_point_signal
+from .critical import INFINITE, Crit, EngineError, SplittingData, SplittingError, fat_point_signal
 from .groebner import krull_dimension
 from .koszul import BoundTooSmall, koszul_homology
 from .polynomials import ArityError, GREVLEX, MultiPoly, ParseError, parse_polynomial
@@ -403,6 +404,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InputError, ArityError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EngineError as exc:
+        print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
+        return 4
     sys.stdout.write(report.render(request.output_format))
     return report.exit_status
 

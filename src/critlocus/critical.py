@@ -23,7 +23,6 @@ from .groebner import (
     is_zero_dimensional,
     krull_dimension,
     normal_form,
-    quotient_basis,
 )
 from .koszul import (
     BoundTooSmall,
@@ -160,7 +159,7 @@ class Crit:
         """Dimension of the Jacobian quotient ring; INFINITE when not isolated."""
         if not self.locus.zero_dimensional:
             return INFINITE
-        return len(quotient_basis(self.locus.jacobian_basis))
+        return len(self.complex.standard_monomials)
 
     @cached_property
     def hessian(self) -> HessianData:

@@ -17,7 +17,6 @@ from .polynomials import (
     Monomial,
     MonomialOrder,
     MultiPoly,
-    mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -244,8 +243,3 @@ def hilbert_function(gb: GroebnerBasis, degree: int) -> int:
             count += 1
     return count
 
-
-def staircase_degree_bound(gb: GroebnerBasis) -> int:
-    """Largest total degree of a standard monomial (zero-dimensional only)."""
-    qb = quotient_basis(gb)
-    return max((mono_degree(m) for m in qb), default=-1)

@@ -30,15 +30,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import add
 from typing import Mapping, Sequence
 
 from .groebner import (
     GroebnerBasis,
     buchberger,
     is_zero_dimensional,
-    staircase_degree_bound,
+    quotient_basis,
 )
-from .linalg import EchelonAccumulator, KernelTracker, Vector, rank as mat_rank
+from .linalg import EchelonAccumulator, IntVector, KernelTracker, Vector, rank as mat_rank
 from .polynomials import (
     ArityError,
     Monomial,
@@ -247,6 +249,11 @@ class KoszulComplex:
     def basis(self) -> GroebnerBasis:
         """Grevlex Groebner basis of the ideal of the structure polynomials."""
         return buchberger(list(self.diff_images), arity=self.arity)
+
+    @cached_property
+    def standard_monomials(self) -> list[Monomial]:
+        """Staircase of the ideal: its standard monomials (zero-dimensional only)."""
+        return quotient_basis(self.basis)
 
 
 def koszul_differential(K: KoszulComplex, element: CdgaElement) -> CdgaElement:
@@ -601,24 +608,29 @@ def _slice_basis(n: int, k: int, degree: int, weights: tuple[int, ...]):
     return basis
 
 
+def _integer_images(K: KoszulComplex) -> tuple[tuple[tuple[Monomial, int], ...], ...]:
+    """The structure polynomials times the least common denominator of all
+    their coefficients, as integer term lists.  Scaling every column by one
+    constant changes no rank, kernel combination or normalised remainder."""
+    den = lcm(*(c.denominator for g in K.diff_images for c in g.terms.values()))
+    return tuple(
+        tuple((m, c.numerator * (den // c.denominator)) for m, c in g.terms.items())
+        for g in K.diff_images
+    )
+
+
 def _column(
-    K: KoszulComplex, subset: tuple[int, ...], mono: Monomial, target_index: dict
-) -> Vector:
-    """Sparse coordinates of delta(xi_subset * x^mono) in the target basis."""
-    col: Vector = {}
+    images, subset: tuple[int, ...], mono: Monomial, target_index: dict
+) -> IntVector:
+    """Sparse integer coordinates of delta(xi_subset * x^mono) in the target
+    basis, with g_i given by ``images``.  No two terms share a target: the
+    dropped generator fixes the xi part and the term of g_i the monomial."""
+    col: IntVector = {}
     for t, gen in enumerate(subset):
-        g = K.diff_images[gen]
-        if g.is_zero():
-            continue
         rest = subset[:t] + subset[t + 1 :]
         sign = 1 if t % 2 == 0 else -1
-        for gm, gc in g.terms.items():
-            idx = target_index[(rest, tuple(a + b for a, b in zip(gm, mono)))]
-            s = col.get(idx, Fraction(0)) + sign * gc
-            if s == 0:
-                col.pop(idx, None)
-            else:
-                col[idx] = s
+        for gm, gc in images[gen]:
+            col[target_index[(rest, tuple(map(add, gm, mono)))]] = sign * gc
     return col
 
 
@@ -664,6 +676,7 @@ def _filtered_homology(K: KoszulComplex, bound: int, finite: bool, graded: bool)
     """
     n = K.arity
     weights = K.weights()
+    images = _integer_images(K)
     table: dict[int, list[int]] = {k: [0] * (bound + 1) for k in range(n + 1)}
     reps: dict[int, list[CdgaElement]] = {k: [] for k in range(n + 1)}
     for d in range(bound + 1):
@@ -679,7 +692,7 @@ def _filtered_homology(K: KoszulComplex, bound: int, finite: bool, graded: bool)
             bases[k].extend(block)
         for k in range(1, n + 2):
             for subset, mono in blocks[k]:
-                combo = trackers[k].insert(_column(K, subset, mono, indexes[k - 1]))
+                combo = trackers[k].insert(_column(images, subset, mono, indexes[k - 1]))
                 if combo is not None:
                     kernels[k].append(combo)
         dims = [
@@ -693,7 +706,7 @@ def _filtered_homology(K: KoszulComplex, bound: int, finite: bool, graded: bool)
             for k in range(n + 1):
                 if dims[k] == 0:
                     continue
-                cycles = kernels[k] if k else [{i: Fraction(1)} for i in range(len(bases[0]))]
+                cycles = kernels[k] if k else [{i: 1} for i in range(len(bases[0]))]
                 reps[k].extend(_reduce_cycles(cycles, trackers[k + 1].acc, bases[k], n))
     return table, reps
 
@@ -732,7 +745,7 @@ def koszul_homology(K: KoszulComplex, bound: int | None = None) -> HomologyRepor
         for k in range(1, n + 1)
         for d in range(max(0, bound - window), bound + 1)
     )
-    h0_complete = bound >= staircase_degree_bound(gb)
+    h0_complete = bound >= max(map(mono_degree, K.standard_monomials), default=-1)
     return HomologyReport(
         mode="finite",
         arity=n,

@@ -1,42 +1,118 @@
-"""Exact linear algebra over the rationals, plus polynomial matrices."""
+"""Exact linear algebra over the rationals, plus polynomial matrices.
+
+Elimination runs fraction-free (Bareiss 1968, integer-preserving Gaussian
+elimination): rows are integer vectors, each step cancels a lead by
+``v <- a*v - b*row`` with ``(a, b) = (row[lead], v[lead]) / gcd``, and the
+common content is divided out so that coefficients stay small.  Inputs may
+hold Fractions, whose denominators are cleared on the way in, and every
+value returned is the same exact rational that elimination over the
+rationals gives.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .polynomials import ArityError, MultiPoly
 
 Vector = dict[int, Fraction]  # sparse, index -> nonzero coefficient
+IntVector = dict[int, int]  # sparse, index -> nonzero integer
 Matrix = list[list[Fraction]]
 
 
+def _integral(vector: Vector) -> tuple[IntVector, int]:
+    """(den * vector with integer entries, den) for the least such den."""
+    den = lcm(*[c.denominator for c in vector.values()])
+    if den == 1:
+        return {i: c.numerator for i, c in vector.items() if c}, 1
+    return {i: c.numerator * (den // c.denominator) for i, c in vector.items() if c}, den
+
+
+def _combine(a: int, v: IntVector, b: int, row: IntVector) -> IntVector:
+    """a*v - b*row without zero entries; v itself is updated when a is 1."""
+    if a != 1:
+        v = {i: a * x for i, x in v.items()}
+    for i, x in row.items():
+        s = v.get(i, 0) - b * x
+        if s:
+            v[i] = s
+        else:
+            del v[i]
+    return v
+
+
+def _eliminate(
+    rows: dict[int, IntVector],
+    v: IntVector,
+    scale: int,
+    combos: dict[int, IntVector] | None,
+    combo: IntVector | None,
+) -> tuple[IntVector, int, IntVector | None]:
+    """Cancel the lead of v against ``rows`` until it is not a pivot.
+
+    v stands for the rational vector v / scale.  Every step multiplies v,
+    scale and combo by a and subtracts b times the pivot row from v and b
+    times that row's combination (``combos``) from combo, then divides all
+    three by their common content.  v / scale is therefore always the exact
+    rational remainder, and the pivot rows are used with the same rational
+    multipliers as in elimination over the rationals.
+    """
+    while v:
+        lead = min(v)
+        row = rows.get(lead)
+        if row is None:
+            break
+        g = gcd(row[lead], v[lead])
+        a, b = row[lead] // g, v[lead] // g
+        v = _combine(a, v, b, row)
+        scale *= a
+        if combos is not None:
+            combo = _combine(a, combo, b, combos[lead])
+        if scale != 1:
+            # a common factor must divide scale too, which keeps it an integer
+            g = gcd(scale, *v.values(), *(combo.values() if combo else ()))
+            if g != 1:
+                scale //= g
+                v = {i: x // g for i, x in v.items()}
+                if combo:
+                    combo = {i: x // g for i, x in combo.items()}
+    return v, scale, combo
+
+
+def _primitive(v: IntVector) -> IntVector:
+    g = gcd(*v.values())
+    return v if g == 1 else {i: x // g for i, x in v.items()}
+
+
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns; deterministic pivoting
-    (first row with a nonzero entry in the current column)."""
+    """Reduced row echelon form and pivot columns (ascending); zero rows
+    fill the bottom, so the shape is that of the input."""
     m = [list(map(Fraction, row)) for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    echelon = EchelonAccumulator()
+    for row in m:
+        echelon.insert(dict(enumerate(row)))
+    # an insert clears its lead from the earlier rows but may keep later
+    # pivots in its tail; inserting the echelon rows again by ascending
+    # pivot clears every pivot from every other row
+    acc = EchelonAccumulator()
+    for p in sorted(echelon.rows):
+        acc.insert(echelon.rows[p])
+    pivots = sorted(acc.rows)
+    reduced = []
+    for p in pivots:
+        row = acc.rows[p]
+        dense = [Fraction(0)] * ncols
+        for j, c in row.items():
+            dense[j] = Fraction(c, row[p])
+        reduced.append(dense)
+    reduced.extend([Fraction(0)] * ncols for _ in range(len(m) - len(pivots)))
+    return reduced, pivots
 
 
 def rank(rows: Matrix) -> int:
@@ -85,49 +161,37 @@ class EchelonAccumulator:
     """Incrementally reduced row space of sparse rational vectors.
 
     Supports streaming rank computation and reduction of vectors against
-    the accumulated space.  Pivot rule: smallest index, kept fully reduced.
+    the accumulated space.  Pivot rule: smallest index; an inserted row's
+    lead is cleared from the rows already held.  Rows are integer vectors,
+    each a nonzero multiple of the row with lead 1 that elimination over
+    the rationals would hold.
     """
 
     def __init__(self) -> None:
-        self.rows: dict[int, Vector] = {}  # pivot index -> row with lead 1
+        self.rows: dict[int, IntVector] = {}  # pivot index -> integer row
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def reduce(self, vector: Vector) -> Vector:
-        v = dict(vector)
-        while v:
-            lead = min(v)
-            row = self.rows.get(lead)
-            if row is None:
-                return v
-            coeff = v[lead]
-            for idx, val in row.items():
-                s = v.get(idx, Fraction(0)) - coeff * val
-                if s == 0:
-                    v.pop(idx, None)
-                else:
-                    v[idx] = s
-        return v
+        """Subtract rows until the lead is not a pivot; the exact remainder."""
+        v, scale, _ = _eliminate(self.rows, *_integral(vector), None, None)
+        return {i: Fraction(c, scale) for i, c in v.items()}
 
     def insert(self, vector: Vector) -> bool:
         """Add a vector to the space; True if it increased the rank."""
-        v = self.reduce(vector)
+        v, _, _ = _eliminate(self.rows, *_integral(vector), None, None)
         if not v:
             return False
+        v = _primitive(v)
         lead = min(v)
-        lv = v[lead]
-        v = {i: c / lv for i, c in v.items()}
+        r = v[lead]
         for pivot, row in self.rows.items():
-            coeff = row.get(lead)
-            if coeff:
-                for idx, val in v.items():
-                    s = row.get(idx, Fraction(0)) - coeff * val
-                    if s == 0:
-                        row.pop(idx, None)
-                    else:
-                        row[idx] = s
+            c = row.get(lead)
+            if c:
+                g = gcd(r, c)
+                self.rows[pivot] = _primitive(_combine(r // g, row, c // g, v))
         self.rows[lead] = v
         return True
 
@@ -142,38 +206,20 @@ class KernelTracker:
 
     def __init__(self) -> None:
         self.acc = EchelonAccumulator()
-        self.combos: dict[int, Vector] = {}  # pivot index -> combination
+        # pivot index -> integer combination of inserted columns equal to the row
+        self.combos: dict[int, IntVector] = {}
         self.count = 0
 
     def insert(self, vector: Vector) -> Vector | None:
         tag = self.count
         self.count += 1
-        v = dict(vector)
-        combo: Vector = {tag: Fraction(1)}
-        while v:
-            lead = min(v)
-            row = self.acc.rows.get(lead)
-            if row is None:
-                break
-            coeff = v[lead]
-            for idx, val in row.items():
-                s = v.get(idx, Fraction(0)) - coeff * val
-                if s == 0:
-                    v.pop(idx, None)
-                else:
-                    v[idx] = s
-            for idx, val in self.combos[lead].items():
-                s = combo.get(idx, Fraction(0)) - coeff * val
-                if s == 0:
-                    combo.pop(idx, None)
-                else:
-                    combo[idx] = s
+        v, scale, combo = _eliminate(self.acc.rows, *_integral(vector), self.combos, {})
         if not v:
+            combo = {i: Fraction(c, scale) for i, c in combo.items()}
+            combo[tag] = Fraction(1)
             return combo
+        combo[tag] = scale
         lead = min(v)
-        lv = v[lead]
-        v = {i: c / lv for i, c in v.items()}
-        combo = {i: c / lv for i, c in combo.items()}
         self.acc.rows[lead] = v
         self.combos[lead] = combo
         return None

@@ -296,5 +296,42 @@ class TestComputeOnce:
         assert calls["koszul_homology"] == 1
 
 
+class TestStaircaseOnce:
+    def test_analyze_enumerates_standard_monomials_once(self, monkeypatch):
+        from critlocus import groebner
+
+        calls = Counter()
+        original = groebner.quotient_basis
+
+        def counted(gb):
+            calls["quotient_basis"] += 1
+            return original(gb)
+
+        for module in (groebner, critical, koszul):
+            monkeypatch.setattr(module, "quotient_basis", counted, raising=False)
+        run(req("analyze", ["x", "y"], functional="x^3+y^3"))
+        assert calls["quotient_basis"] == 1
+
+
+class TestInternalError:
+    """A failed internal cross-check exits with status 4, not a traceback."""
+
+    def test_cross_check_failure_exits_4(self, monkeypatch, capsys):
+        import dataclasses
+
+        real = critical.koszul_homology
+
+        def contradicting(K, bound=None):
+            report = real(K, bound)
+            return dataclasses.replace(report, dimensions={**report.dimensions, 1: 1})
+
+        monkeypatch.setattr(critical, "koszul_homology", contradicting)
+        assert main(["analyze", "--vars", "x,y", "--f", "x^2+y^2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal cross-check failed: ")
+        assert "positive-degree homology is nonzero" in captured.err
+
+
 if __name__ == "__main__":
     write_golden()

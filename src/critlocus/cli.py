@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -335,6 +336,7 @@ def run(request: AnalysisRequest) -> AnalysisReport:
     return AnalysisReport(data, 3 if inconclusive else 0)
 
 
+@cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="critlocus",

@@ -26,6 +26,7 @@ from .groebner import (
 )
 from .koszul import (
     BoundTooSmall,
+    EngineError,
     HomologyReport,
     KoszulComplex,
     default_homology_bound,
@@ -37,10 +38,6 @@ from .polynomials import ArityError, GREVLEX, MultiPoly
 from .symplectic import OmegaVerification, omega_minus_one
 
 INFINITE = math.inf  # sentinel for a non-isolated singular locus
-
-
-class EngineError(RuntimeError):
-    """An internal cross-check failed; this must not occur."""
 
 
 class SplittingError(ValueError):

@@ -68,6 +68,10 @@ class PointNotOnLocus(ValueError):
     """A point where the complex's structure maps do not all vanish."""
 
 
+class EngineError(RuntimeError):
+    """An internal cross-check failed; this must not occur."""
+
+
 def _merge_odd(a: tuple[int, ...], b: tuple[int, ...]):
     """Merge two strictly increasing index tuples of odd generators.
 
@@ -86,33 +90,91 @@ def _merge_odd(a: tuple[int, ...], b: tuple[int, ...]):
     return merged, (-1 if inversions % 2 else 1)
 
 
-class CdgaElement:
-    """Element of the Koszul algebra: a map xi-monomial -> polynomial."""
+def _collect(accum: dict, key, value) -> None:
+    """Add ``value`` into ``accum[key]``; zero sums are dropped on construction."""
+    prev = accum.get(key)
+    accum[key] = value if prev is None else prev + value
+
+
+class _SparseElement:
+    """Immutable finite map from canonical keys to nonzero coefficients.
+
+    Coefficients share the element's arity and support ``+``, unary ``-``,
+    ``scale`` and ``is_zero``; zero coefficients are dropped.  Subclasses
+    supply the key check (``_key``) and the product.
+    """
 
     __slots__ = ("terms", "arity")
 
-    def __init__(self, terms: Mapping[XiMonomial, MultiPoly], arity: int):
-        clean: dict[XiMonomial, MultiPoly] = {}
-        for mono, poly in terms.items():
-            if poly.arity != arity:
+    def __init__(self, terms: Mapping, arity: int):
+        clean = {}
+        for key, coeff in terms.items():
+            if coeff.arity != arity:
                 raise ArityError("coefficient arity does not match the algebra")
-            if any(i < 0 or i >= arity for i in mono):
-                raise ArityError(f"generator index out of range in {mono}")
-            if list(mono) != sorted(set(mono)):
-                raise ValueError(f"xi-monomial {mono} is not strictly increasing")
-            if not poly.is_zero():
-                clean[tuple(mono)] = poly
+            key = self._key(key, arity)
+            if not coeff.is_zero():
+                clean[key] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "arity", arity)
 
     def __setattr__(self, name, value):
-        raise AttributeError("CdgaElement is immutable")
-
-    # -- constructors --------------------------------------------------
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls, arity: int) -> "CdgaElement":
+    def zero(cls, arity: int):
         return cls({}, arity)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.arity == other.arity
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.arity, frozenset(self.terms.items())))
+
+    def _check(self, other) -> None:
+        if self.arity != other.arity:
+            raise ArityError(f"arity mismatch: {self.arity} vs {other.arity}")
+
+    def __add__(self, other):
+        self._check(other)
+        res = dict(self.terms)
+        for key, coeff in other.terms.items():
+            _collect(res, key, coeff)
+        return type(self)(res, self.arity)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()}, self.arity)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, scalar):
+        return type(self)({k: c.scale(scalar) for k, c in self.terms.items()}, self.arity)
+
+
+class CdgaElement(_SparseElement):
+    """Element of the Koszul algebra: a map xi-monomial -> polynomial."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(mono, arity: int) -> XiMonomial:
+        if any(i < 0 or i >= arity for i in mono):
+            raise ArityError(f"generator index out of range in {mono}")
+        if list(mono) != sorted(set(mono)):
+            raise ValueError(f"xi-monomial {mono} is not strictly increasing")
+        return tuple(mono)
+
+    # -- constructors --------------------------------------------------
 
     @classmethod
     def from_poly(cls, poly: MultiPoly) -> "CdgaElement":
@@ -127,61 +189,7 @@ class CdgaElement:
     def unit(cls, arity: int) -> "CdgaElement":
         return cls.from_poly(MultiPoly.one(arity))
 
-    # -- structure -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CdgaElement)
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
-
-    def homogeneous_parts(self) -> dict[int, "CdgaElement"]:
-        """Split by xi-degree (the exterior degree)."""
-        parts: dict[int, dict[XiMonomial, MultiPoly]] = {}
-        for mono, poly in self.terms.items():
-            parts.setdefault(len(mono), {})[mono] = poly
-        return {k: CdgaElement(t, self.arity) for k, t in parts.items()}
-
-    def xi_degree(self) -> int | None:
-        """Exterior degree if homogeneous, else None; None for zero too."""
-        degrees = {len(m) for m in self.terms}
-        return degrees.pop() if len(degrees) == 1 else None
-
     # -- arithmetic ------------------------------------------------------
-
-    def _check(self, other: "CdgaElement") -> None:
-        if self.arity != other.arity:
-            raise ArityError(f"arity mismatch: {self.arity} vs {other.arity}")
-
-    def __add__(self, other: "CdgaElement") -> "CdgaElement":
-        self._check(other)
-        res = dict(self.terms)
-        for mono, poly in other.terms.items():
-            s = res.get(mono, MultiPoly.zero(self.arity)) + poly
-            if s.is_zero():
-                res.pop(mono, None)
-            else:
-                res[mono] = s
-        return CdgaElement(res, self.arity)
-
-    def __neg__(self) -> "CdgaElement":
-        return CdgaElement({m: -p for m, p in self.terms.items()}, self.arity)
-
-    def __sub__(self, other: "CdgaElement") -> "CdgaElement":
-        return self + (-other)
-
-    def scale(self, scalar) -> "CdgaElement":
-        return CdgaElement({m: p * scalar for m, p in self.terms.items()}, self.arity)
 
     def __mul__(self, other):
         """Graded product; polynomials are central, xi generators anticommute."""
@@ -197,12 +205,7 @@ class CdgaElement:
                 if merged is None:
                     continue
                 mono, sign = merged
-                contrib = p1 * p2 if sign == 1 else -(p1 * p2)
-                s = res.get(mono, MultiPoly.zero(self.arity)) + contrib
-                if s.is_zero():
-                    res.pop(mono, None)
-                else:
-                    res[mono] = s
+                _collect(res, mono, p1 * p2 if sign == 1 else -(p1 * p2))
         return CdgaElement(res, self.arity)
 
     __rmul__ = __mul__
@@ -260,53 +263,39 @@ def koszul_differential(K: KoszulComplex, element: CdgaElement) -> CdgaElement:
     """Odd derivation with delta(xi_i) = g_i, zero on polynomials."""
     if element.arity != K.arity:
         raise ArityError("element does not live over this complex")
-    res = CdgaElement.zero(K.arity)
+    res: dict[XiMonomial, MultiPoly] = {}
     for mono, poly in element.terms.items():
         for t, gen in enumerate(mono):
             g = K.diff_images[gen]
             if g.is_zero():
                 continue
-            rest = mono[:t] + mono[t + 1 :]
-            coeff = g * poly if t % 2 == 0 else -(g * poly)
-            res = res + CdgaElement({rest: coeff}, K.arity)
-    return res
+            _collect(res, mono[:t] + mono[t + 1 :], g * poly if t % 2 == 0 else -(g * poly))
+    return CdgaElement(res, K.arity)
 
 
 # ---------------------------------------------------------------------------
 # coordinate de Rham model
 
 
-class FormElement:
+class FormElement(_SparseElement):
     """Element of the form algebra: map (dx-monomial, dxi-monomial) -> CdgaElement.
 
     dx indices are strictly increasing (odd generators); dxi indices are
     non-decreasing with repetition allowed (even generators).
     """
 
-    __slots__ = ("terms", "arity")
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[FormMonomial, CdgaElement], arity: int):
-        clean: dict[FormMonomial, CdgaElement] = {}
-        for (dx, dxi), coeff in terms.items():
-            if coeff.arity != arity:
-                raise ArityError("coefficient arity does not match")
-            if list(dx) != sorted(set(dx)) or any(i < 0 or i >= arity for i in dx):
-                raise ValueError(f"dx-monomial {dx} is not canonical")
-            if list(dxi) != sorted(dxi) or any(i < 0 or i >= arity for i in dxi):
-                raise ValueError(f"dxi-monomial {dxi} is not canonical")
-            if not coeff.is_zero():
-                clean[(tuple(dx), tuple(dxi))] = coeff
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "arity", arity)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormElement is immutable")
+    @staticmethod
+    def _key(key, arity: int) -> FormMonomial:
+        dx, dxi = key
+        if list(dx) != sorted(set(dx)) or any(i < 0 or i >= arity for i in dx):
+            raise ValueError(f"dx-monomial {dx} is not canonical")
+        if list(dxi) != sorted(dxi) or any(i < 0 or i >= arity for i in dxi):
+            raise ValueError(f"dxi-monomial {dxi} is not canonical")
+        return (tuple(dx), tuple(dxi))
 
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, arity: int) -> "FormElement":
-        return cls({}, arity)
 
     @classmethod
     def from_cdga(cls, coeff: CdgaElement) -> "FormElement":
@@ -325,81 +314,30 @@ class FormElement:
     def dxi(cls, index: int, arity: int) -> "FormElement":
         return cls({((), (index,)): CdgaElement.unit(arity)}, arity)
 
-    # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormElement)
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
-
-    def _check(self, other: "FormElement") -> None:
-        if self.arity != other.arity:
-            raise ArityError(f"arity mismatch: {self.arity} vs {other.arity}")
-
-    def __add__(self, other: "FormElement") -> "FormElement":
-        self._check(other)
-        res = dict(self.terms)
-        for key, coeff in other.terms.items():
-            s = res.get(key, CdgaElement.zero(self.arity)) + coeff
-            if s.is_zero():
-                res.pop(key, None)
-            else:
-                res[key] = s
-        return FormElement(res, self.arity)
-
-    def __neg__(self) -> "FormElement":
-        return FormElement({k: -c for k, c in self.terms.items()}, self.arity)
-
-    def __sub__(self, other: "FormElement") -> "FormElement":
-        return self + (-other)
-
-    def scale(self, scalar) -> "FormElement":
-        return FormElement({k: c.scale(scalar) for k, c in self.terms.items()}, self.arity)
+    # -- arithmetic --------------------------------------------------------
 
     def wedge(self, other: "FormElement") -> "FormElement":
         """Graded product.  Signs: xi and dx odd, dxi even."""
         self._check(other)
+        # moving the xi factors of a right coefficient past an odd dx block
+        # negates its odd-xi terms
+        twisted = {
+            key: CdgaElement({m: -p if len(m) % 2 else p for m, p in c.terms.items()}, self.arity)
+            for key, c in other.terms.items()
+        }
         accum: dict[FormMonomial, CdgaElement] = {}
         for (dx1, dxi1), c1 in self.terms.items():
             for (dx2, dxi2), c2 in other.terms.items():
-                dx_merged = _merge_odd(dx1, dx2)
-                if dx_merged is None:
+                merged = _merge_odd(dx1, dx2)
+                if merged is None:
                     continue
-                dx, dx_sign = dx_merged
-                dxi = tuple(sorted(dxi1 + dxi2))
-                for e1, p1 in c1.terms.items():
-                    for e2, p2 in c2.terms.items():
-                        xi_merged = _merge_odd(e1, e2)
-                        if xi_merged is None:
-                            continue
-                        xi, xi_sign = xi_merged
-                        # moving the xi factors of the right term past dx1
-                        cross = -1 if (len(e2) * len(dx1)) % 2 else 1
-                        sign = dx_sign * xi_sign * cross
-                        poly = p1 * p2 if sign == 1 else -(p1 * p2)
-                        key = (dx, dxi)
-                        prev = accum.get(key, CdgaElement.zero(self.arity))
-                        accum[key] = prev + CdgaElement({xi: poly}, self.arity)
-        return FormElement({k: v for k, v in accum.items() if not v.is_zero()}, self.arity)
+                dx, sign = merged
+                product = c1 * (twisted[(dx2, dxi2)] if len(dx1) % 2 else c2)
+                key = (dx, tuple(sorted(dxi1 + dxi2)))
+                _collect(accum, key, product if sign == 1 else -product)
+        return FormElement(accum, self.arity)
 
     __mul__ = wedge
-
-    def form_weight_parts(self) -> dict[int, "FormElement"]:
-        parts: dict[int, dict[FormMonomial, CdgaElement]] = {}
-        for (dx, dxi), coeff in self.terms.items():
-            parts.setdefault(len(dx) + len(dxi), {})[(dx, dxi)] = coeff
-        return {w: FormElement(t, self.arity) for w, t in parts.items()}
 
     def one_form_components(self) -> tuple[MultiPoly, ...]:
         """Extract polynomial components a_i from sum a_i dx_i; error otherwise."""
@@ -431,8 +369,9 @@ def de_rham_and_internal(
     if form.arity != K.arity:
         raise ArityError("form does not live over this complex")
     n = K.arity
-    d_out = FormElement.zero(n)
-    delta_out = FormElement.zero(n)
+    # form monomial -> xi-monomial -> polynomial coefficient
+    d_out: dict[FormMonomial, dict[XiMonomial, MultiPoly]] = {}
+    delta_out: dict[FormMonomial, dict[XiMonomial, MultiPoly]] = {}
     for (dx, dxi), coeff in form.terms.items():
         for xi, poly in coeff.terms.items():
             # --- de Rham d ---
@@ -448,40 +387,24 @@ def de_rham_and_internal(
                     continue
                 new_dx, shuffle = merged
                 sign = -1 * front_sign * shuffle
-                d_out = d_out + FormElement(
-                    {(new_dx, dxi): CdgaElement({xi: dp if sign == 1 else -dp}, n)}, n
-                )
+                _collect(d_out.setdefault((new_dx, dxi), {}), xi, dp if sign == 1 else -dp)
             # xi part: xi_i -> dxi_i (even, slides freely into the dxi block)
             for t, gen in enumerate(xi):
-                rest = xi[:t] + xi[t + 1 :]
                 new_dxi = tuple(sorted(dxi + (gen,)))
-                signed = poly if t % 2 == 0 else -poly
-                d_out = d_out + FormElement(
-                    {(dx, new_dxi): CdgaElement({rest: signed}, n)}, n
+                _collect(
+                    d_out.setdefault((dx, new_dxi), {}),
+                    xi[:t] + xi[t + 1 :],
+                    poly if t % 2 == 0 else -poly,
                 )
             # --- internal delta ---
-            # xi part: xi_i -> g_i
-            for t, gen in enumerate(xi):
-                g = K.diff_images[gen]
-                if g.is_zero():
-                    continue
-                rest = xi[:t] + xi[t + 1 :]
-                signed = g * poly if t % 2 == 0 else -(g * poly)
-                delta_out = delta_out + FormElement(
-                    {(dx, dxi): CdgaElement({rest: signed}, n)}, n
-                )
             # dxi part: dxi_i -> sum_j (dg_i/dx_j) dx_j, an odd factor created
             # past the xi and dx blocks.
             block_sign = -1 if (len(xi) + len(dx)) % 2 else 1
-            seen: set[int] = set()
-            for pos, gen in enumerate(dxi):
-                if gen in seen:
-                    continue
-                seen.add(gen)
-                multiplicity = dxi.count(gen)
+            for gen in sorted(set(dxi)):
                 g = K.diff_images[gen]
                 if g.is_zero():
                     continue
+                multiplicity = dxi.count(gen)
                 reduced = list(dxi)
                 reduced.remove(gen)
                 new_dxi = tuple(reduced)
@@ -493,17 +416,19 @@ def de_rham_and_internal(
                     if merged is None:
                         continue
                     new_dx, shuffle = merged
-                    sign = block_sign * shuffle
                     contrib = (dg * poly).scale(multiplicity)
-                    delta_out = delta_out + FormElement(
-                        {
-                            (new_dx, new_dxi): CdgaElement(
-                                {xi: contrib if sign == 1 else -contrib}, n
-                            )
-                        },
-                        n,
+                    _collect(
+                        delta_out.setdefault((new_dx, new_dxi), {}),
+                        xi,
+                        contrib if block_sign * shuffle == 1 else -contrib,
                     )
-    return d_out, delta_out
+        # xi part of delta: xi_i -> g_i, the Koszul differential of the coefficient
+        for xi, poly in koszul_differential(K, coeff).terms.items():
+            _collect(delta_out.setdefault((dx, dxi), {}), xi, poly)
+    return (
+        FormElement({key: CdgaElement(t, n) for key, t in d_out.items()}, n),
+        FormElement({key: CdgaElement(t, n) for key, t in delta_out.items()}, n),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -634,32 +559,26 @@ def _column(
     return col
 
 
-def _vector_to_cdga(vector, basis, n: int) -> CdgaElement:
+def _vector_to_cdga(vector: Vector, basis, n: int) -> CdgaElement:
     terms: dict[XiMonomial, dict] = {}
-    for idx, coeff in vector.items() if isinstance(vector, dict) else enumerate(vector):
-        if coeff == 0:
-            continue
+    for idx, coeff in vector.items():
         subset, mono = basis[idx]
         terms.setdefault(subset, {})[mono] = coeff
-    return CdgaElement(
-        {s: MultiPoly(t, n) for s, t in terms.items()}, n
-    )
+    return CdgaElement({s: MultiPoly(t, n) for s, t in terms.items()}, n)
 
 
 def _reduce_cycles(cycles, image: EchelonAccumulator, basis, n: int):
-    """Reduce cycle vectors against the boundary space; return independent reps."""
+    """Reduce cycle vectors against the boundary space; return representatives
+    of the cycles that are independent modulo the boundaries."""
     reps = []
     independent = EchelonAccumulator()
+    # an insert updates the held rows in place, so the boundary rows are copied
+    independent.rows.update((lead, dict(row)) for lead, row in image.rows.items())
     for vec in cycles:
         reduced = image.reduce(vec)
-        if not reduced:
-            continue
-        keep = dict(reduced)
-        if independent.insert(reduced):
-            lead = min(keep)
-            lv = keep[lead]
-            keep = {i: c / lv for i, c in keep.items()}
-            reps.append(_vector_to_cdga(keep, basis, n))
+        if reduced and independent.insert(reduced):
+            lv = reduced[min(reduced)]
+            reps.append(_vector_to_cdga({i: c / lv for i, c in reduced.items()}, basis, n))
     return reps
 
 

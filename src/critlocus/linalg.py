@@ -270,9 +270,6 @@ class PolyMatrix:
     def evaluate(self, point: Sequence) -> Matrix:
         return [[p.evaluate(point) for p in row] for row in self.entries]
 
-    def map(self, fn) -> "PolyMatrix":
-        return PolyMatrix(tuple(tuple(fn(p) for p in row) for row in self.entries))
-
     def det(self) -> MultiPoly:
         """Determinant by cofactor expansion; fine for small matrices."""
         if self.nrows != self.ncols:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 
@@ -101,9 +101,6 @@ class MonomialOrder:
         # grevlex: total degree first, ties broken by smaller exponent in the
         # least significant position (scanned from the back).
         return (sum(mono), tuple(-mono[i] for i in reversed(perm)))
-
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -345,24 +342,17 @@ class MultiPoly:
         return f"MultiPoly({self.to_string(names)})"
 
 
-def poly_sum(polys: Iterable[MultiPoly], arity: int) -> MultiPoly:
-    total = MultiPoly.zero(arity)
-    for p in polys:
-        total = total + p
-    return total
-
-
 # ---------------------------------------------------------------------------
 # text grammar
 #
 #   poly   := [sign] term { sign term }
-#   term   := factor { ["*"] factor }
-#   factor := number ["/" number] | name ["^" number]
+#   term   := factor { ["*"] factor | "/" number }
+#   factor := number | name ["^" number]
 #
 # Whitespace is insignificant; "*" between a coefficient and a variable is
 # optional.  Variables must come from the declared name list.
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^]))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -458,17 +448,7 @@ class _Parser:
     def parse_factor(self) -> MultiPoly:
         kind, value, offset = self.take()
         if kind == "num":
-            numerator = int(value)
-            tok = self.peek()
-            if tok is not None and tok[0] == "op" and tok[1] == "/":
-                self.take()
-                dkind, dvalue, doffset = self.take()
-                if dkind != "num":
-                    raise ParseError("expected integer denominator", doffset)
-                if int(dvalue) == 0:
-                    raise ParseError("zero denominator", doffset)
-                return MultiPoly.constant(Fraction(numerator, int(dvalue)), self.arity)
-            return MultiPoly.constant(numerator, self.arity)
+            return MultiPoly.constant(int(value), self.arity)
         if kind == "name":
             if value not in self.index:
                 raise ParseError(f"unknown variable {value!r}", offset)
@@ -493,10 +473,3 @@ def parse_polynomial(text: str, names: Sequence[str]) -> MultiPoly:
     if parser.peek() is None:
         raise ParseError("empty polynomial", 0)
     return parser.parse()
-
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"invalid rational literal {text.strip()!r}: {exc}", 0) from None

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .koszul import (
     CdgaElement,
+    EngineError,
     FormElement,
     KoszulComplex,
     de_rham_and_internal,
@@ -49,11 +49,10 @@ class OneForm:
         return cls(tuple(MultiPoly.zero(arity) for _ in range(arity)))
 
     def as_form_element(self) -> FormElement:
-        fe = FormElement.zero(self.arity)
-        for i, a in enumerate(self.components):
-            if not a.is_zero():
-                fe = fe + FormElement.dx(i, self.arity, a)
-        return fe
+        return FormElement(
+            {((i,), ()): CdgaElement.from_poly(a) for i, a in enumerate(self.components)},
+            self.arity,
+        )
 
 
 @dataclass(frozen=True)
@@ -122,32 +121,24 @@ def zero_locus_one_form(alpha: OneForm) -> ZeroLocusResult:
 
 def tautological_one_form(arity: int) -> FormElement:
     """sum xi_i dx_i on the shifted cotangent model."""
-    fe = FormElement.zero(arity)
-    for i in range(arity):
-        fe = fe + FormElement({((i,), ()): CdgaElement.xi((i,), arity)}, arity)
-    return fe
+    return FormElement({((i,), ()): CdgaElement.xi((i,), arity) for i in range(arity)}, arity)
 
 
 def pullback_tautological(alpha: OneForm) -> PullbackRecord:
     """Substitute xi_i -> a_i in the tautological 1-form and certify that
     the result is alpha itself.  A mismatch is an engine bug."""
     n = alpha.arity
-    lam = tautological_one_form(n)
-    substituted = FormElement.zero(n)
-    for (dx, dxi), coeff in lam.terms.items():
-        acc = CdgaElement.zero(n)
+    substituted = {}
+    for key, coeff in tautological_one_form(n).terms.items():
+        value = MultiPoly.zero(n)
         for xi, poly in coeff.terms.items():
-            value = poly
             for gen in xi:  # xi-degree <= 1 here, substitution is unambiguous
-                value = value * alpha.components[gen]
-            acc = acc + CdgaElement.from_poly(value)
-        if not acc.is_zero():
-            substituted = substituted + FormElement({(dx, dxi): acc}, n)
-    pulled = OneForm(substituted.one_form_components() if substituted.terms else
-                     tuple(MultiPoly.zero(n) for _ in range(n)))
+                poly = poly * alpha.components[gen]
+            value = value + poly
+        substituted[key] = CdgaElement.from_poly(value)
+    pulled = OneForm(FormElement(substituted, n).one_form_components())
     matches = pulled == alpha
     if not matches:
-        from .critical import EngineError  # critical imports this module
         raise EngineError(
             "tautological pullback failed to reproduce the 1-form; this is a bug"
         )
@@ -158,23 +149,15 @@ def omega_minus_one(arity: int, K: KoszulComplex) -> OmegaVerification:
     """Build the pairing 2-form and run its verification record."""
     if K.arity != arity:
         raise ArityError("complex arity does not match")
-    omega = FormElement.zero(arity)
-    for i in range(arity):
-        omega = omega + FormElement({((i,), (i,)): CdgaElement.unit(arity)}, arity)
-    lam = tautological_one_form(arity)
-    d_lam, _ = de_rham_and_internal(lam, K)
+    omega = FormElement({((i,), (i,)): CdgaElement.unit(arity) for i in range(arity)}, arity)
+    d_lam, _ = de_rham_and_internal(tautological_one_form(arity), K)
     d_omega, delta_omega = de_rham_and_internal(omega, K)
-    pairing = tuple(
-        tuple(
-            omega.terms.get(((i,), (j,)), CdgaElement.zero(arity))
-            .terms.get((), MultiPoly.zero(arity))
-            .constant_value()
-            if ((i,), (j,)) in omega.terms
-            else Fraction(0)
-            for j in range(arity)
-        )
-        for i in range(arity)
-    )
+
+    def entry(i: int, j: int) -> Fraction:
+        coeff = omega.terms.get(((i,), (j,)), CdgaElement.zero(arity))
+        return coeff.terms.get((), MultiPoly.zero(arity)).constant_value()
+
+    pairing = tuple(tuple(entry(i, j) for j in range(arity)) for i in range(arity))
     return OmegaVerification(
         omega=omega,
         is_differential_of_tautological=(d_lam == omega),

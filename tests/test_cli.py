@@ -333,5 +333,32 @@ class TestInternalError:
         assert "positive-degree homology is nonzero" in captured.err
 
 
+class TestParentheses:
+    """The grammar has no parentheses; they fail as unexpected characters."""
+
+    @pytest.mark.parametrize("text,offset,char", [("(x+y)^2", 0, "("), ("x^2 + y)", 7, ")")])
+    def test_rejected_with_status_2(self, text, offset, char, capsys):
+        assert main(["analyze", "--vars", "x,y", "--f", text]) == 2
+        err = capsys.readouterr().err
+        assert f"at byte {offset}: unexpected character {char!r}" in err
+
+
+class TestParserReuse:
+    def test_points_do_not_leak_between_calls(self, capsys):
+        base = ["point", "--vars", "x,y", "--f", "x^2+y^2", "--format", "json"]
+        echoed = []
+        for points in (["0,0", "1,0"], ["0,1"], []):
+            argv = base + [a for p in points for a in ("--point", p)]
+            status = main(argv)
+            data = json.loads(capsys.readouterr().out) if points else None
+            echoed.append((status, data and data["request"]["points"]))
+        assert echoed[0] == (0, ["0,0", "1,0"])
+        assert echoed[1] == (0, ["0,1"])
+        assert echoed[2] == (2, None)  # 'point' still requires a --point
+
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+
 if __name__ == "__main__":
     write_golden()

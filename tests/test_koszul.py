@@ -22,6 +22,7 @@ from critlocus.koszul import _slice_basis
 
 from conftest import random_poly
 from oracles import koszul_homology_dim
+from oracles import dense_rank, koszul_slice_basis, koszul_slice_matrix
 
 
 def variables(n):
@@ -303,3 +304,41 @@ class TestCotangentComplexAtPoint:
         x, y = variables(2)
         with pytest.raises(PointNotOnLocus):
             cotangent_complex_at(crit(x**2 + y**2), [1, 0])
+
+
+def sheared(n, degree, shear):
+    """sum_i l_i^degree for the linear forms l_i = x_i + shear * x_{i+1}."""
+    xs = variables(n)
+    f = MultiPoly.zero(n)
+    for i in range(n):
+        l = xs[i] + xs[i + 1] * shear if i + 1 < n else xs[i]
+        f = f + l**degree
+    return f
+
+
+class TestRepresentativesModuloBoundaries:
+    """Representatives are independent modulo the boundaries, so there is
+    one per dimension, on graded inputs in sheared coordinates too."""
+
+    CASES = [(2, 3, 1), (2, 3, F(-1, 2)), (2, 4, 2), (3, 3, 1), (3, 2, 3)]
+
+    @pytest.mark.parametrize("n,degree,shear", CASES)
+    def test_one_representative_per_dimension(self, n, degree, shear):
+        K = crit(sheared(n, degree, shear))
+        rep = koszul_homology(K)
+        assert rep.mode == "finite" and rep.sliceable
+        for k in range(n + 1):
+            assert len(rep.representatives[k]) == rep.dimensions[k]
+        gs_terms = [dict(g.terms) for g in K.diff_images]
+        weights = K.weights()
+        by_degree = {}
+        for r in rep.representatives[0]:
+            poly = r.terms[()]
+            assert poly.is_homogeneous()
+            by_degree.setdefault(poly.total_degree(), []).append(poly)
+        for d, polys in by_degree.items():
+            basis = koszul_slice_basis(n, 0, d, weights)
+            boundary, ncols = koszul_slice_matrix(gs_terms, n, 1, d, weights)
+            columns = [[row[j] for row in boundary] for j in range(ncols)]
+            columns += [[p.terms.get(mono, F(0)) for _, mono in basis] for p in polys]
+            assert dense_rank(columns) == dense_rank(columns[:ncols]) + len(polys)

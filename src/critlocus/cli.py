@@ -254,24 +254,19 @@ def _oneform(request: AnalysisRequest, names: list[str], data: dict) -> bool:
     return inconclusive
 
 
-def _point(crit: Crit, request: AnalysisRequest, names: list[str], data: dict) -> bool:
-    if not request.points:
-        raise InputError("subcommand 'point' requires at least one --point")
-    return False
-
-
-def _analyze(crit: Crit, request: AnalysisRequest, names: list[str], data: dict) -> bool:
+def _analyze(crit: Crit, bound: int | None, data: dict) -> bool:
     inconclusive = False
     try:
-        data["lambda_equivalence"] = _lambda_section(crit.lambda_verdict(request.bound))
+        data["lambda_equivalence"] = _lambda_section(crit.lambda_verdict(bound))
     except BoundTooSmall as exc:
         data["lambda_equivalence"] = _bound_error(exc)
         inconclusive = True
-    data["homology"], hflag = _homology_section(crit.homology, request.bound)
+    data["homology"], hflag = _homology_section(crit.homology, bound)
     return inconclusive or hflag
 
 
-def _family(crit: Crit, request: AnalysisRequest, names: list[str], data: dict) -> bool:
+def _splitting(request: AnalysisRequest, names: list[str]) -> SplittingData:
+    """The coordinate splitting named by --tangent, not yet validated."""
     if request.tangent is None:
         raise InputError("subcommand 'family' requires --tangent")
     index = {name: i for i, name in enumerate(names)}
@@ -279,12 +274,16 @@ def _family(crit: Crit, request: AnalysisRequest, names: list[str], data: dict) 
         tangent = [index[t] for t in request.tangent]
     except KeyError as exc:
         raise InputError(f"unknown tangent variable {exc.args[0]!r}") from None
+    return SplittingData.from_tangent(tangent, len(names))
+
+
+def _family(crit: Crit, split: SplittingData, bound: int | None, names, data: dict) -> bool:
     try:
-        split = crit.validate_splitting(SplittingData.from_tangent(tangent, len(names)))
+        split = crit.validate_splitting(split)
     except SplittingError as exc:
         raise InputError(str(exc)) from None
     q_matrix, nondeg = crit.normal_hessian(split)
-    phi = crit.phi_comparison(split, request.bound)
+    phi = crit.phi_comparison(split, bound)
     data["family"] = {
         "tangent_variables": [names[i] for i in split.tangent_vars],
         "normal_variables": [names[i] for i in split.normal_vars],
@@ -305,9 +304,6 @@ def _family(crit: Crit, request: AnalysisRequest, names: list[str], data: dict) 
     return phi.verdict == "inconclusive"
 
 
-_CRIT_COMMANDS = {"analyze": _analyze, "family": _family, "point": _point}
-
-
 def run(request: AnalysisRequest) -> AnalysisReport:
     """Execute one analysis request and assemble the deterministic report."""
     names = _variables(request)
@@ -322,6 +318,12 @@ def run(request: AnalysisRequest) -> AnalysisReport:
 
     f = _parse_functional(request, names)
     pts = [_parse_point(p, len(names)) for p in request.points]
+    # every option is checked before Crit(f) is built
+    if request.command not in ("analyze", "family", "point"):
+        raise InputError(f"unknown subcommand {request.command!r}")
+    if request.command == "point" and not pts:
+        raise InputError("subcommand 'point' requires at least one --point")
+    split = _splitting(request, names) if request.command == "family" else None
     crit = Crit(f)
     data["strict_locus"] = _strict_locus_section(crit, names)
     if pts:
@@ -329,10 +331,11 @@ def run(request: AnalysisRequest) -> AnalysisReport:
         data["strict_locus"]["fat_point_signal"] = fat_point_signal(
             crit.milnor, distinct_on_locus
         )
-    command = _CRIT_COMMANDS.get(request.command)
-    if command is None:
-        raise InputError(f"unknown subcommand {request.command!r}")
-    inconclusive = command(crit, request, names, data)
+    inconclusive = False
+    if request.command == "analyze":
+        inconclusive = _analyze(crit, request.bound, data)
+    elif request.command == "family":
+        inconclusive = _family(crit, split, request.bound, names, data)
     return AnalysisReport(data, 3 if inconclusive else 0)
 
 

@@ -15,15 +15,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .groebner import (
-    GroebnerBasis,
-    buchberger,
-    hilbert_function,
-    is_unit_mod,
-    is_zero_dimensional,
-    krull_dimension,
-    normal_form,
-)
+from .groebner import GroebnerBasis, is_zero_dimensional, krull_dimension
 from .koszul import (
     BoundTooSmall,
     EngineError,
@@ -34,7 +26,7 @@ from .koszul import (
     minimal_safe_bound,
 )
 from .linalg import PolyMatrix, invert
-from .polynomials import ArityError, GREVLEX, MultiPoly
+from .polynomials import ArityError, MultiPoly
 from .symplectic import OmegaVerification, omega_minus_one
 
 INFINITE = math.inf  # sentinel for a non-isolated singular locus
@@ -125,13 +117,19 @@ class PhiComparisonReport:
         return (self.verdict == "equal") == self.normal_hessian_nondegenerate
 
 
+def _restrict(p: MultiPoly, s: SplittingData) -> MultiPoly:
+    """p on the subspace {x_j = 0, j normal}: p modulo the normal variables."""
+    kept = {m: c for m, c in p.terms.items() if not any(m[j] for j in s.normal_vars)}
+    return MultiPoly(kept, p.arity)
+
+
 class Crit:
     """The derived critical locus Crit(f) of one functional.
 
     Holds the Koszul model of f and computes each piece that the analyses
     read lazily and at most once: the strict locus, the Milnor number, the
-    Hessian, the pairing check of the shifted 2-form, the normal ideal and
-    normal Hessian of a splitting, and the Koszul homology at each bound.
+    Hessian, the pairing check of the shifted 2-form, the normal Hessian of
+    a splitting, and the Koszul homology at each bound.
     """
 
     def __init__(self, f: MultiPoly):
@@ -160,7 +158,7 @@ class Crit:
 
     @cached_property
     def hessian(self) -> HessianData:
-        return hessian(self.f)
+        return HessianData(PolyMatrix(self.complex.jacobian))
 
     @cached_property
     def omega(self) -> OmegaVerification:
@@ -238,13 +236,6 @@ class Crit:
             omega_flat_invertible=self.omega.pairing_invertible,
         )
 
-    def _normal_ideal(self, s: SplittingData) -> GroebnerBasis:
-        n = self.f.arity
-        gens = [MultiPoly.variable(i, n) for i in s.normal_vars]
-        return self._once(
-            ("normal_ideal", s.normal_vars), lambda: buchberger(gens, GREVLEX, arity=n)
-        )
-
     def validate_splitting(self, s: SplittingData) -> SplittingData:
         """Check that the coordinate subspace S0 = {x_j = 0, j normal} realizes
         the strict critical locus and is Q-orthogonal to the normal directions.
@@ -252,16 +243,15 @@ class Crit:
         (a) every partial of f lies in the ideal of S0 (so S0 is contained in
             the strict locus) and the two loci have the same dimension;
         (b) the Hessian blocks tangent-tangent and tangent-normal vanish
-            modulo the ideal of S0.
+            modulo the ideal of S0, that is, on S0.
         """
         n = self.f.arity
         if set(s.tangent_vars) | set(s.normal_vars) != set(range(n)) or set(
             s.tangent_vars
         ) & set(s.normal_vars):
             raise ValueError("tangent and normal variables must partition the coordinates")
-        gb_n = self._normal_ideal(s)
         for i, g in enumerate(self.complex.diff_images):
-            if not normal_form(g, gb_n).is_zero():
+            if not _restrict(g, s).is_zero():
                 raise SplittingError(
                     "not_tangent",
                     "splitting not tangent to critical locus: partial derivative "
@@ -278,7 +268,7 @@ class Crit:
         hess = self.hessian.matrix
         for i in s.tangent_vars:
             for j in list(s.tangent_vars) + list(s.normal_vars):
-                if not normal_form(hess.entry(i, j), gb_n).is_zero():
+                if not _restrict(hess.entry(i, j), s).is_zero():
                     raise SplittingError(
                         "not_q_orthogonal",
                         "splitting not Q-orthogonal: Hessian block entry "
@@ -287,29 +277,28 @@ class Crit:
         return SplittingData(s.tangent_vars, s.normal_vars, validated=True)
 
     def normal_hessian(self, s: SplittingData) -> tuple[PolyMatrix, bool]:
-        """Normal-normal Hessian block over the family ring, with the
-        non-degeneracy verdict (its determinant is a unit there)."""
+        """Normal-normal Hessian block over the family ring Q[x_T], with the
+        non-degeneracy verdict (its determinant is a unit: a nonzero constant)."""
         if not s.validated:
             raise ValueError("splitting has not been validated")
         return self._once(("normal_hessian", s.normal_vars), lambda: self._normal_block(s))
 
     def _normal_block(self, s: SplittingData) -> tuple[PolyMatrix, bool]:
-        gb_n = self._normal_ideal(s)
         hess = self.hessian.matrix
         block = PolyMatrix(
             tuple(
-                tuple(normal_form(hess.entry(i, j), gb_n) for j in s.normal_vars)
+                tuple(_restrict(hess.entry(i, j), s) for j in s.normal_vars)
                 for i in s.normal_vars
             )
         )
         # an empty block has arity 0, so its determinant is taken by hand
-        det = normal_form(block.det(), gb_n) if s.normal_vars else MultiPoly.one(self.f.arity)
-        return block, is_unit_mod(det, gb_n)
+        det = block.det() if s.normal_vars else MultiPoly.one(self.f.arity)
+        return block, det.is_constant() and not det.is_zero()
 
     def phi_comparison(self, s: SplittingData, bound: int | None) -> PhiComparisonReport:
         """Compare Crit(f) homology against the shifted cotangent model of the
         family: graded dimensions C(|T|, k) * hilbert(O_S, d), with the wedge
-        generators placed at polynomial degree 0.
+        generators placed at polynomial degree 0; O_S is Q[x_T].
 
         Within the bound, equality of the tables is equivalent to the normal
         Hessian block being non-degenerate; the report carries both sides so
@@ -332,9 +321,10 @@ class Crit:
                 normal_hessian_nondegenerate=nondeg,
                 mismatches=(),
             )
-        hilbert = [hilbert_function(self._normal_ideal(s), d) for d in range(bound + 1)]
-        t_count = len(s.tangent_vars)
-        model = {k: tuple(math.comb(t_count, k) * h for h in hilbert) for k in range(n + 1)}
+        t = len(s.tangent_vars)
+        # monomials of degree d in the t tangent variables
+        hilbert = [math.comb(d + t - 1, d) if t else int(d == 0) for d in range(bound + 1)]
+        model = {k: tuple(math.comb(t, k) * h for h in hilbert) for k in range(n + 1)}
         crit_table = {k: report.graded_dimensions(k) for k in range(n + 1)}
         mismatches = tuple(
             (k, d, crit_table[k][d], model[k][d])
@@ -373,11 +363,8 @@ def lambda_equivalence_verdict(f: MultiPoly, bound: int | None = None) -> Lambda
 
 
 def hessian(f: MultiPoly) -> HessianData:
-    n = f.arity
-    entries = tuple(
-        tuple(f.partial(i).partial(j) for j in range(n)) for i in range(n)
-    )
-    return HessianData(PolyMatrix(entries))
+    """Second partials of f; see Crit.hessian."""
+    return Crit(f).hessian
 
 
 def hessian_at(f: MultiPoly, point: Sequence) -> list[list[Fraction]]:

@@ -254,6 +254,11 @@ class KoszulComplex:
         return buchberger(list(self.diff_images), arity=self.arity)
 
     @cached_property
+    def jacobian(self) -> tuple[tuple[MultiPoly, ...], ...]:
+        """dg_i/dx_j, row i for the structure polynomial g_i, column j for x_j."""
+        return tuple(tuple(g.partial(j) for j in range(self.arity)) for g in self.diff_images)
+
+    @cached_property
     def standard_monomials(self) -> list[Monomial]:
         """Staircase of the ideal: its standard monomials (zero-dimensional only)."""
         return quotient_basis(self.basis)
@@ -401,15 +406,11 @@ def de_rham_and_internal(
             # past the xi and dx blocks.
             block_sign = -1 if (len(xi) + len(dx)) % 2 else 1
             for gen in sorted(set(dxi)):
-                g = K.diff_images[gen]
-                if g.is_zero():
-                    continue
                 multiplicity = dxi.count(gen)
                 reduced = list(dxi)
                 reduced.remove(gen)
                 new_dxi = tuple(reduced)
-                for j in range(n):
-                    dg = g.partial(j)
+                for j, dg in enumerate(K.jacobian[gen]):
                     if dg.is_zero():
                         continue
                     merged = _merge_odd(dx, (j,))
@@ -468,12 +469,8 @@ def cotangent_complex_at(K: KoszulComplex, point: Sequence) -> TwoTermComplexAtP
             raise PointNotOnLocus(
                 "the structure polynomials do not all vanish at the point"
             )
-    n = K.arity
-    matrix = tuple(
-        tuple(K.diff_images[i].partial(j).evaluate(pt) for i in range(n))
-        for j in range(n)
-    )
-    return TwoTermComplexAtPoint(n, matrix)
+    matrix = tuple(zip(*([dg.evaluate(pt) for dg in row] for row in K.jacobian)))
+    return TwoTermComplexAtPoint(K.arity, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +509,15 @@ class HomologyReport:
 
 
 def default_homology_bound(K: KoszulComplex) -> int:
-    top = max((g.total_degree() for g in K.diff_images if not g.is_zero()), default=0)
+    top = minimal_safe_bound(K)
     if K.origin_tag == "critical_locus":
         top += 1  # partials of f have degree deg(f) - 1
     return 2 * K.arity * max(1, top)
 
 
 def minimal_safe_bound(K: KoszulComplex) -> int:
-    return max((g.total_degree() for g in K.diff_images if not g.is_zero()), default=0)
+    """The top weight: the largest degree of a structure polynomial."""
+    return max(K.weights(), default=0)
 
 
 def _slice_basis(n: int, k: int, degree: int, weights: tuple[int, ...]):
@@ -582,7 +580,9 @@ def _reduce_cycles(cycles, image: EchelonAccumulator, basis, n: int):
     return reps
 
 
-def _filtered_homology(K: KoszulComplex, bound: int, finite: bool, graded: bool):
+def _filtered_homology(
+    K: KoszulComplex, weights: tuple[int, ...], bound: int, finite: bool, graded: bool
+):
     """Homology of the weight-truncated subcomplexes C^{<=d}, d = 0..bound.
 
     Valid for arbitrary structure polynomials: the differential never raises
@@ -594,7 +594,6 @@ def _filtered_homology(K: KoszulComplex, bound: int, finite: bool, graded: bool)
     end of each block.
     """
     n = K.arity
-    weights = K.weights()
     images = _integer_images(K)
     table: dict[int, list[int]] = {k: [0] * (bound + 1) for k in range(n + 1)}
     reps: dict[int, list[CdgaElement]] = {k: [] for k in range(n + 1)}
@@ -646,19 +645,20 @@ def koszul_homology(K: KoszulComplex, bound: int | None = None) -> HomologyRepor
     gb = K.basis
     finite = is_zero_dimensional(gb)
     sliceable = K.is_weight_graded()
-    table, reps = _filtered_homology(K, bound, finite, sliceable)
+    weights = K.weights()
+    table, reps = _filtered_homology(K, weights, bound, finite, sliceable)
     frozen_table = {k: tuple(v) for k, v in table.items()}
     if not finite:
         return HomologyReport(
             mode="hilbert",
             arity=n,
             bound=bound,
-            weights=K.weights(),
+            weights=weights,
             table=frozen_table,
             sliceable=sliceable,
         )
     totals = {k: sum(frozen_table[k]) for k in range(n + 1)}
-    window = max(max(K.weights(), default=0), 1)
+    window = max(minimal, 1)
     tail_quiet = all(
         frozen_table[k][d] == 0
         for k in range(1, n + 1)
@@ -669,7 +669,7 @@ def koszul_homology(K: KoszulComplex, bound: int | None = None) -> HomologyRepor
         mode="finite",
         arity=n,
         bound=bound,
-        weights=K.weights(),
+        weights=weights,
         table=frozen_table,
         sliceable=sliceable,
         dimensions=totals,

@@ -269,12 +269,10 @@ class TestComputeOnce:
 
         for module, name in (
             (koszul, "buchberger"),
-            (critical, "buchberger"),
             (critical, "koszul_homology"),
             (cli, "koszul_homology"),
             (critical, "omega_minus_one"),
             (cli, "omega_minus_one"),
-            (critical, "is_unit_mod"),
         ):
             count(module, name)
         return counts
@@ -292,8 +290,52 @@ class TestComputeOnce:
 
     def test_family(self, calls):
         run(req("family", ["x", "y"], functional="x^2*y", tangent=("y",), bound=8))
-        assert calls["is_unit_mod"] == 1
+        assert calls["buchberger"] == 1
         assert calls["koszul_homology"] == 1
+
+
+class TestOptionsCheckedFirst:
+    """A request with a missing or unknown option exits 2 before any
+    Groebner basis is computed."""
+
+    @pytest.fixture
+    def bases(self, monkeypatch):
+        counts = Counter()
+        original = koszul.buchberger
+
+        def counted(*args, **kwargs):
+            counts["buchberger"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(koszul, "buchberger", counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["point"], "subcommand 'point' requires at least one --point"),
+            (["family"], "subcommand 'family' requires --tangent"),
+            (["family", "--tangent", "q"], "unknown tangent variable 'q'"),
+        ],
+    )
+    def test_missing_option(self, bases, capsys, argv, message):
+        f = ["--vars", "x,y,z,w", "--f", "x^3+y^3+z^3+w^3+x*y*z*w"]
+        assert main(argv[:1] + f + argv[1:]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert bases["buchberger"] == 0
+
+    def test_unknown_subcommand(self, bases):
+        with pytest.raises(InputError, match="unknown subcommand 'bogus'"):
+            run(req("bogus", ["x", "y"], functional="x^2+y^2"))
+        assert bases["buchberger"] == 0
+
+    def test_parse_errors_come_first(self, bases, capsys):
+        argv = ["point", "--vars", "x,y", "--f", "x^2+y^2", "--point", "1"]
+        assert main(argv) == 2
+        assert "has 1 coordinates, expected 2" in capsys.readouterr().err
+        assert main(["family", "--vars", "x,y", "--f", "x^2+"]) == 2
+        assert "cannot parse functional" in capsys.readouterr().err
+        assert bases["buchberger"] == 0
 
 
 class TestStaircaseOnce:

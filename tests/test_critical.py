@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,6 +7,7 @@ import pytest
 
 from critlocus import (
     INFINITE,
+    Crit,
     KoszulComplex,
     MultiPoly,
     SplittingData,
@@ -21,7 +24,16 @@ from critlocus import (
     point_report,
     validate_splitting,
 )
-from critlocus.linalg import identity, mat_mul
+from critlocus.groebner import (
+    buchberger,
+    hilbert_function,
+    is_unit_mod,
+    krull_dimension,
+    normal_form,
+)
+from critlocus.koszul import cotangent_complex_at, minimal_safe_bound
+from critlocus.linalg import PolyMatrix, identity, mat_mul
+from critlocus.polynomials import GREVLEX
 
 from conftest import P, random_poly
 from oracles import staircase_dimension
@@ -139,6 +151,30 @@ class TestHessian:
             for i in range(2):
                 for j in range(2):
                     assert h.entry(i, j) == f.partial(i).partial(j)
+
+
+class TestHessianIsJacobian:
+    """The Hessian is the Jacobian of the Koszul complex, computed once and
+    shared with the cotangent complex at a point."""
+
+    def test_hessian_is_the_cached_jacobian(self, rng):
+        for _ in range(10):
+            crit = Crit(random_poly(rng, 3, max_degree=4))
+            assert crit.hessian.matrix.entries is crit.complex.jacobian
+            assert hessian(crit.f).matrix == crit.hessian.matrix
+
+    def test_cotangent_matrix_is_the_transposed_jacobian(self, rng):
+        for _ in range(10):
+            n = rng.randint(1, 3)
+            point = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            gs = [random_poly(rng, n) for _ in range(n)]
+            # shift every structure polynomial so that it vanishes at the point
+            K = KoszulComplex(n, tuple(g - MultiPoly.constant(g.evaluate(point), n) for g in gs))
+            for i, g in enumerate(K.diff_images):
+                assert K.jacobian[i] == tuple(g.partial(j) for j in range(n))
+            at = PolyMatrix(K.jacobian).evaluate(point)
+            expected = tuple(tuple(at[i][j] for i in range(n)) for j in range(n))
+            assert cotangent_complex_at(K, point).matrix == expected
 
 
 class TestPointReport:
@@ -338,3 +374,92 @@ class TestDiagonalQuadratics:
             rep = koszul_homology(build_crit(f)[0], bound=6)
             assert all(rep.dimensions[k] == 0 for k in range(1, n + 1))
             assert rep.dimensions[0] == 1
+
+
+def _rational_poly(rng, n, terms, max_degree=4):
+    d = {}
+    for _ in range(terms):
+        mono = tuple(rng.randint(0, max_degree) for _ in range(n))
+        if sum(mono) <= max_degree:
+            d[mono] = F(rng.randint(-5, 5), rng.randint(1, 4))
+    return MultiPoly(d, n)
+
+
+def _normal_quadratic(rng, n):
+    """f = c + sum_{i <= j normal} q_ij(x_T) x_i x_j (+ a cubic normal term),
+    built so that the coordinate subspace of a chosen tangent set is critical:
+    each q_ij is a constant or a constant times a tangent monomial."""
+    tangent = [i for i in range(n) if rng.random() < 0.5]
+    normal = [i for i in range(n) if i not in tangent]
+    f = MultiPoly.constant(F(rng.randint(-2, 2), rng.randint(1, 3)), n)
+    for i, j in itertools.combinations_with_replacement(normal, 2):
+        if i != j and rng.random() < 0.5:
+            continue
+        mono = [0] * n
+        mono[i] += 1
+        mono[j] += 1
+        if tangent and rng.random() < 0.4:
+            mono[rng.choice(tangent)] += rng.randint(1, 2)
+        f = f + MultiPoly.monomial(tuple(mono), F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3)))
+    if normal and rng.random() < 0.3:
+        f = f + MultiPoly.variable(rng.choice(normal), n) ** 3
+    return f
+
+
+def _reference_splitting(f, s, bound):
+    """The splitting analyses through a Groebner basis of the ideal of the
+    subspace: normal forms, a unit test and a Hilbert function.  Returns the
+    error kind, or the normal block, its verdict and the model table."""
+    n = f.arity
+    gb = buchberger([MultiPoly.variable(j, n) for j in s.normal_vars], GREVLEX, arity=n)
+    partials = [f.partial(i) for i in range(n)]
+    if not all(normal_form(g, gb).is_zero() for g in partials):
+        return "not_tangent"
+    if krull_dimension(buchberger(partials, arity=n)) != len(s.tangent_vars):
+        return "not_tangent"
+    hess = [[g.partial(j) for j in range(n)] for g in partials]
+    if not all(normal_form(hess[i][j], gb).is_zero() for i in s.tangent_vars for j in range(n)):
+        return "not_q_orthogonal"
+    block = PolyMatrix(
+        tuple(tuple(normal_form(hess[i][j], gb) for j in s.normal_vars) for i in s.normal_vars)
+    )
+    det = normal_form(block.det(), gb) if s.normal_vars else MultiPoly.one(n)
+    hilbert = [hilbert_function(gb, d) for d in range(bound + 1)]
+    t = len(s.tangent_vars)
+    model = {k: tuple(math.comb(t, k) * h for h in hilbert) for k in range(n + 1)}
+    return block, is_unit_mod(det, gb), model
+
+
+class TestSplittingByRestriction:
+    """Restricting to the coordinate subspace gives the answers of the
+    Groebner route on seeded random functionals and every splitting."""
+
+    def test_matches_groebner_route(self):
+        rng = random.Random(60221)
+        pairs, kinds, verdicts = 0, set(), set()
+        for count in range(90):
+            n = rng.choice([2, 3])
+            if count % 2:
+                f = _rational_poly(rng, n, terms=rng.randint(2, 5))
+            else:
+                f = _normal_quadratic(rng, n)
+            crit = Crit(f)
+            bound = minimal_safe_bound(crit.complex) + 1
+            for size in range(n + 1):
+                for tangent in itertools.combinations(range(n), size):
+                    s = SplittingData.from_tangent(tangent, n)
+                    expected = _reference_splitting(f, s, bound)
+                    pairs += 1
+                    if isinstance(expected, str):
+                        with pytest.raises(SplittingError) as err:
+                            crit.validate_splitting(s)
+                        assert err.value.kind == expected, (f, tangent)
+                        kinds.add(expected)
+                        continue
+                    split = crit.validate_splitting(s)
+                    block, nondeg, model = expected
+                    assert crit.normal_hessian(split) == (block, nondeg), (f, tangent)
+                    assert crit.phi_comparison(split, bound).model_table == model, (f, tangent)
+                    verdicts.add(nondeg)
+        assert pairs >= 300
+        assert kinds == {"not_tangent"} and verdicts == {True, False}

@@ -392,7 +392,11 @@ def request_from_args(argv: Sequence[str]) -> AnalysisRequest:
         functional=ns.f,
         one_form=ns.alpha,
         points=tuple(ns.point),
-        tangent=tuple(t.strip() for t in ns.tangent.split(",")) if ns.tangent else None,
+        tangent=(
+            tuple(t.strip() for t in ns.tangent.split(",") if t.strip())
+            if ns.tangent is not None
+            else None
+        ),
         bound=ns.bound,
         output_format=ns.format,
     )

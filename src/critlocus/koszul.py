@@ -570,8 +570,8 @@ def _reduce_cycles(cycles, image: EchelonAccumulator, basis, n: int):
     of the cycles that are independent modulo the boundaries."""
     reps = []
     independent = EchelonAccumulator()
-    # an insert updates the held rows in place, so the boundary rows are copied
-    independent.rows.update((lead, dict(row)) for lead, row in image.rows.items())
+    # held rows never change, so both accumulators can share the boundary rows
+    independent.rows.update(image.rows)
     for vec in cycles:
         reduced = image.reduce(vec)
         if reduced and independent.insert(reduced):
@@ -590,8 +590,9 @@ def _filtered_homology(
     are the dimension jumps between consecutive truncations.  A weight-graded
     differential preserves the degree, so the complex splits into one block
     per degree and each block is eliminated on its own; otherwise a single
-    block grows through all degrees.  Representatives are collected at the
-    end of each block.
+    block grows through all degrees.  Only ranks are kept while a block
+    grows; representatives are collected at the end of each block, and the
+    kernel combinations for k >= 1 are built there only where H_k != 0.
     """
     n = K.arity
     images = _integer_images(K)
@@ -601,8 +602,7 @@ def _filtered_homology(
         if graded or d == 0:
             bases: dict[int, list] = {k: [] for k in range(n + 2)}
             indexes: dict[int, dict] = {k: {} for k in range(n + 2)}
-            trackers = {k: KernelTracker() for k in range(1, n + 2)}
-            kernels: dict[int, list[Vector]] = {k: [] for k in range(1, n + 2)}
+            echelons = {k: EchelonAccumulator() for k in range(1, n + 2)}
             previous = [0] * (n + 1)
         blocks = {k: _slice_basis(n, k, d, weights) for k in range(n + 2)}
         for k, block in blocks.items():
@@ -610,11 +610,9 @@ def _filtered_homology(
             bases[k].extend(block)
         for k in range(1, n + 2):
             for subset, mono in blocks[k]:
-                combo = trackers[k].insert(_column(images, subset, mono, indexes[k - 1]))
-                if combo is not None:
-                    kernels[k].append(combo)
+                echelons[k].insert(_column(images, subset, mono, indexes[k - 1]))
         dims = [
-            len(bases[k]) - (trackers[k].acc.rank if k else 0) - trackers[k + 1].acc.rank
+            len(bases[k]) - (echelons[k].rank if k else 0) - echelons[k + 1].rank
             for k in range(n + 1)
         ]
         for k in range(n + 1):
@@ -624,8 +622,14 @@ def _filtered_homology(
             for k in range(n + 1):
                 if dims[k] == 0:
                     continue
-                cycles = kernels[k] if k else [{i: 1} for i in range(len(bases[0]))]
-                reps[k].extend(_reduce_cycles(cycles, trackers[k + 1].acc, bases[k], n))
+                if k:
+                    # combinations index the columns of bases[k] in basis order
+                    tracker = KernelTracker()
+                    columns = (_column(images, s, m, indexes[k - 1]) for s, m in bases[k])
+                    cycles = [c for c in map(tracker.insert, columns) if c is not None]
+                else:
+                    cycles = [{i: 1} for i in range(len(bases[0]))]
+                reps[k].extend(_reduce_cycles(cycles, echelons[k + 1], bases[k], n))
     return table, reps
 
 

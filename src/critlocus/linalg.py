@@ -89,24 +89,29 @@ def _primitive(v: IntVector) -> IntVector:
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns (ascending); zero rows
-    fill the bottom, so the shape is that of the input."""
+    fill the bottom, so the shape is that of the input.  Each row is
+    inserted once into one accumulator, whose echelon rows are then
+    back-substituted."""
     m = [list(map(Fraction, row)) for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
-    echelon = EchelonAccumulator()
-    for row in m:
-        echelon.insert(dict(enumerate(row)))
-    # an insert clears its lead from the earlier rows but may keep later
-    # pivots in its tail; inserting the echelon rows again by ascending
-    # pivot clears every pivot from every other row
     acc = EchelonAccumulator()
-    for p in sorted(echelon.rows):
-        acc.insert(echelon.rows[p])
-    pivots = sorted(acc.rows)
+    for row in m:
+        acc.insert(dict(enumerate(row)))
+    held, pivots = acc.rows, sorted(acc.rows)
+    # from the last pivot up, each row is already clear of the later pivots
+    # and clears its own pivot from the rows above it
+    for i, p in reversed(list(enumerate(pivots))):
+        row = held[p]
+        for q in pivots[:i]:
+            c = held[q].get(p)
+            if c:
+                g = gcd(row[p], c)
+                held[q] = _primitive(_combine(row[p] // g, held[q], c // g, row))
     reduced = []
     for p in pivots:
-        row = acc.rows[p]
+        row = held[p]
         dense = [Fraction(0)] * ncols
         for j, c in row.items():
             dense[j] = Fraction(c, row[p])
@@ -161,10 +166,11 @@ class EchelonAccumulator:
     """Incrementally reduced row space of sparse rational vectors.
 
     Supports streaming rank computation and reduction of vectors against
-    the accumulated space.  Pivot rule: smallest index; an inserted row's
-    lead is cleared from the rows already held.  Rows are integer vectors,
-    each a nonzero multiple of the row with lead 1 that elimination over
-    the rationals would hold.
+    the accumulated space.  Pivot rule: smallest index.  Elimination is
+    forward only: an inserted row is reduced against the rows already held
+    and stored as a primitive integer vector, and a held row never changes
+    afterwards.  Each row is a nonzero multiple of the row that forward
+    elimination over the rationals would hold.
     """
 
     def __init__(self) -> None:
@@ -184,15 +190,7 @@ class EchelonAccumulator:
         v, _, _ = _eliminate(self.rows, *_integral(vector), None, None)
         if not v:
             return False
-        v = _primitive(v)
-        lead = min(v)
-        r = v[lead]
-        for pivot, row in self.rows.items():
-            c = row.get(lead)
-            if c:
-                g = gcd(r, c)
-                self.rows[pivot] = _primitive(_combine(r // g, row, c // g, v))
-        self.rows[lead] = v
+        self.rows[min(v)] = _primitive(v)
         return True
 
 

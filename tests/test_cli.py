@@ -249,6 +249,17 @@ class TestOptionValues:
         assert point["point"] == ["-1", "0"]
         assert point["on_locus"] is False
 
+    @pytest.mark.parametrize("f, verdict", [("x^2+y^2", "equal"), ("x^3+y^2", "unequal")])
+    @pytest.mark.parametrize("tangent", [["--tangent="], ["--tangent", ""], ["--tangent", " , "]])
+    def test_empty_tangent_set(self, f, verdict, tangent, capsys):
+        argv = ["family", "--vars", "x,y", "--f", f, *tangent, "--format", "json"]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["request"]["tangent"] == []
+        assert data["family"]["tangent_variables"] == []
+        assert data["family"]["phi_comparison"]["verdict"] == verdict
+        assert data["family"]["phi_comparison"]["biconditional_holds"] is True
+
 
 class TestComputeOnce:
     """One request builds one Crit(f): one Groebner basis of the Jacobian

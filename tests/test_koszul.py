@@ -16,9 +16,11 @@ from critlocus import (
     de_rham_and_internal,
     koszul_differential,
     koszul_homology,
+    parse_polynomial,
     wedge,
 )
 from critlocus.koszul import _slice_basis
+from critlocus.linalg import KernelTracker
 
 from conftest import random_poly
 from oracles import koszul_homology_dim
@@ -31,6 +33,17 @@ def variables(n):
 
 def crit(f):
     return KoszulComplex(f.arity, tuple(f.partial(i) for i in range(f.arity)), "critical_locus")
+
+
+def _two_morse_points():
+    x = variables(1)[0]
+    return crit(x**2 + x**3)
+
+
+def _one_form_with_h1():
+    # the truncation at bound 3 has H_1 != 0, so a kernel combination is read
+    x, y, z = variables(3)
+    return KoszulComplex(3, (F(5, 2) * x * y, 5 * x**3 - 2, x * z), "one_form")
 
 
 def random_complex(rng, n, max_degree=3):
@@ -263,15 +276,35 @@ class TestHomology:
         for r in reps:
             assert koszul_differential(K, r).is_zero()
 
-    def test_filtered_path_on_inhomogeneous_input(self):
-        x = variables(1)[0]
-        K = crit(x**2 + x**3)  # two nondegenerate critical points
-        rep = koszul_homology(K, bound=8)
+    @pytest.mark.parametrize(
+        "build, bound, dimensions",
+        [(_two_morse_points, 8, {0: 2, 1: 0}), (_one_form_with_h1, 3, {0: 12, 1: 1, 2: 0, 3: 0})],
+        ids=["two-morse-points", "one-form-h1"],
+    )
+    def test_filtered_path_on_inhomogeneous_input(self, build, bound, dimensions):
+        K = build()
+        rep = koszul_homology(K, bound=bound)
         assert not rep.sliceable
         assert rep.mode == "finite"
-        assert rep.dimensions == {0: 2, 1: 0}
-        for r in rep.representatives[0]:
-            assert koszul_differential(K, r).is_zero()
+        assert rep.dimensions == dimensions
+        for k, reps in rep.representatives.items():
+            assert len(reps) == dimensions[k]
+            for r in reps:
+                assert koszul_differential(K, r).is_zero()
+
+    @pytest.mark.parametrize("f, mode", [("x^3+y^3", "finite"), ("x^2*y", "hilbert")])
+    def test_no_kernel_combinations_unless_read(self, f, mode, monkeypatch):
+        inserts = []
+        original = KernelTracker.insert
+
+        def counted(self, vector):
+            inserts.append(vector)
+            return original(self, vector)
+
+        monkeypatch.setattr(KernelTracker, "insert", counted)
+        rep = koszul_homology(crit(parse_polynomial(f, ["x", "y"])))
+        assert rep.mode == mode and rep.sliceable
+        assert inserts == []
 
     def test_bound_too_small_reports_minimal(self):
         x, y = variables(2)

@@ -52,6 +52,18 @@ def test_echelon_accumulator_streaming_rank():
     assert acc.reduce({0: F(1), 1: F(5), 2: F(1)}) == {}
 
 
+def test_insert_leaves_held_rows_unchanged():
+    acc = EchelonAccumulator()
+    acc.insert({0: F(1), 1: F(1), 2: F(3)})
+    acc.insert({2: F(2)})
+    held = dict(acc.rows)
+    contents = {p: dict(row) for p, row in held.items()}
+    # the new lead 1 sits in the tail of the row with pivot 0
+    assert acc.insert({1: F(1), 2: F(1)})
+    assert all(acc.rows[p] is row for p, row in held.items())
+    assert {p: acc.rows[p] for p in held} == contents
+
+
 def test_kernel_tracker_reports_dependencies():
     kt = KernelTracker()
     assert kt.insert({0: F(1)}) is None

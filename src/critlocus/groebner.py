@@ -3,7 +3,9 @@
 Reduced Groebner bases are computed deterministically: normal selection
 strategy (smallest lcm first), Buchberger's coprimality and chain criteria
 for pair pruning, monic generators, output sorted by descending leading
-monomial.
+monomial.  Each generator's leading monomial is computed once, when it
+joins the basis, and each pair's selection key once, when the pair is
+created.
 """
 
 from __future__ import annotations
@@ -52,32 +54,24 @@ class GroebnerBasis:
         return normal_form(p, self).is_zero()
 
 
-def _reduce(p: MultiPoly, basis: list[MultiPoly], order: MonomialOrder) -> MultiPoly:
-    """Full remainder of p on division by the list, first divisor wins."""
+def _reduce(
+    p: MultiPoly, divisors: list[tuple[Monomial, MultiPoly]], order: MonomialOrder
+) -> MultiPoly:
+    """Full remainder of p on division by the (lead, generator) pairs, first
+    divisor wins."""
     remainder_terms: dict[Monomial, Fraction] = {}
     h = p
-    leading = [(g.leading_monomial(order), g.leading_coefficient(order), g) for g in basis]
     while h.terms:
         lm = h.leading_monomial(order)
         lc = h.terms[lm]
-        for gm, gc, g in leading:
+        for gm, g in divisors:
             if mono_divides(gm, lm):
-                factor = MultiPoly.monomial(mono_div(lm, gm), lc / gc)
-                h = h - factor * g
+                h = h - MultiPoly.monomial(mono_div(lm, gm), lc / g.terms[gm]) * g
                 break
         else:
             remainder_terms[lm] = lc
             h = h - MultiPoly.monomial(lm, lc)
     return MultiPoly(remainder_terms, p.arity)
-
-
-def _s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
-    fm, fc = f.leading_monomial(order), f.leading_coefficient(order)
-    gm, gc = g.leading_monomial(order), g.leading_coefficient(order)
-    lcm = mono_lcm(fm, gm)
-    return MultiPoly.monomial(mono_div(lcm, fm), Fraction(1) / fc) * f - MultiPoly.monomial(
-        mono_div(lcm, gm), Fraction(1) / gc
-    ) * g
 
 
 def buchberger(
@@ -96,71 +90,71 @@ def buchberger(
     if len(arities) > 1:
         raise ValueError("generators do not share an arity")
     arity = arities.pop() if arities else 0
-    basis = [g.monic(order) for g in gens if not g.is_zero()]
+    basis: list[tuple[Monomial, MultiPoly]] = []  # (leading monomial, monic generator)
+    pairs: dict[tuple[int, int], tuple] = {}  # (i, j) -> (order key of the lcm, i, j)
+
+    def add(g: MultiPoly) -> None:
+        g = g.monic(order)
+        lead = g.leading_monomial(order)
+        new = len(basis)
+        for t, (lm, _) in enumerate(basis):
+            pairs[(t, new)] = (order.key(mono_lcm(lm, lead)), t, new)
+        basis.append((lead, g))
+
+    for g in gens:
+        if not g.is_zero():
+            add(g)
     if not basis:
         return GroebnerBasis((), order, arity)
 
-    pairs: set[tuple[int, int]] = set(combinations(range(len(basis)), 2))
-
-    def pair_key(pair: tuple[int, int]):
-        i, j = pair
-        lcm = mono_lcm(
-            basis[i].leading_monomial(order), basis[j].leading_monomial(order)
-        )
-        return (order.key(lcm), i, j)
-
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        lm_i = basis[i].leading_monomial(order)
-        lm_j = basis[j].leading_monomial(order)
+        i, j = min(pairs, key=pairs.get)
+        del pairs[(i, j)]
+        (lm_i, g_i), (lm_j, g_j) = basis[i], basis[j]
         lcm = mono_lcm(lm_i, lm_j)
         if lcm == mono_mul(lm_i, lm_j):
             continue  # coprime leading terms, S-polynomial reduces to zero
-        chained = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if not mono_divides(basis[k].leading_monomial(order), lcm):
-                continue
-            if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
-                chained = True
-                break
-        if chained:
-            continue
-        remainder = _reduce(_s_polynomial(basis[i], basis[j], order), basis, order)
-        if remainder.is_zero():
-            continue
-        basis.append(remainder.monic(order))
-        new = len(basis) - 1
-        pairs.update((t, new) for t in range(new))
+        if any(
+            k not in (i, j)
+            and mono_divides(lm_k, lcm)
+            and (min(i, k), max(i, k)) not in pairs
+            and (min(j, k), max(j, k)) not in pairs
+            for k, (lm_k, _) in enumerate(basis)
+        ):
+            continue  # chain criterion
+        s_poly = (
+            MultiPoly.monomial(mono_div(lcm, lm_i)) * g_i
+            - MultiPoly.monomial(mono_div(lcm, lm_j)) * g_j
+        )
+        remainder = _reduce(s_poly, basis, order)
+        if not remainder.is_zero():
+            add(remainder)
 
     return _reduced_basis(basis, order, arity)
 
 
-def _reduced_basis(basis: list[MultiPoly], order: MonomialOrder, arity: int) -> GroebnerBasis:
+def _reduced_basis(
+    basis: list[tuple[Monomial, MultiPoly]], order: MonomialOrder, arity: int
+) -> GroebnerBasis:
     # drop generators whose leading term another generator's divides
-    by_lm = sorted(basis, key=lambda g: order.key(g.leading_monomial(order)))
-    minimal: list[MultiPoly] = []
-    for g in by_lm:
-        lm = g.leading_monomial(order)
-        if any(mono_divides(h.leading_monomial(order), lm) for h in minimal):
-            continue
-        minimal.append(g)
-    # tail-reduce each against the others; leading terms are untouched
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        reduced.append(_reduce(g, others, order).monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
-    return GroebnerBasis(tuple(reduced), order, arity)
+    minimal: list[tuple[Monomial, MultiPoly]] = []
+    for lm, g in sorted(basis, key=lambda pair: order.key(pair[0])):
+        if not any(mono_divides(m, lm) for m, _ in minimal):
+            minimal.append((lm, g))
+    # tail-reduce each monic generator against the others; leading terms are
+    # untouched, so the results stay monic and keep their order
+    reduced = [
+        _reduce(g, minimal[:idx] + minimal[idx + 1 :], order)
+        for idx, (_, g) in enumerate(minimal)
+    ]
+    return GroebnerBasis(tuple(reversed(reduced)), order, arity)
 
 
 def normal_form(p: MultiPoly, gb: GroebnerBasis) -> MultiPoly:
     """Canonical remainder of p modulo the basis; zero iff p is in the ideal."""
     if p.arity != gb.arity:
         raise ValueError(f"arity mismatch: {p.arity} vs {gb.arity}")
-    return _reduce(p, list(gb.generators), gb.order)
+    return _reduce(p, list(zip(gb.leading_monomials(), gb.generators)), gb.order)
 
 
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:

@@ -565,9 +565,13 @@ def _vector_to_cdga(vector: Vector, basis, n: int) -> CdgaElement:
     return CdgaElement({s: MultiPoly(t, n) for s, t in terms.items()}, n)
 
 
-def _reduce_cycles(cycles, image: EchelonAccumulator, basis, n: int):
+def _reduce_cycles(cycles, image: EchelonAccumulator, basis, n: int, count: int):
     """Reduce cycle vectors against the boundary space; return representatives
-    of the cycles that are independent modulo the boundaries."""
+    of the cycles that are independent modulo the boundaries.
+
+    ``cycles`` is read lazily and only up to the ``count``-th representative:
+    when the cycles span the cycle space and ``count`` is the homology
+    dimension, no later cycle can be independent."""
     reps = []
     independent = EchelonAccumulator()
     # held rows never change, so both accumulators can share the boundary rows
@@ -577,6 +581,8 @@ def _reduce_cycles(cycles, image: EchelonAccumulator, basis, n: int):
         if reduced and independent.insert(reduced):
             lv = reduced[min(reduced)]
             reps.append(_vector_to_cdga({i: c / lv for i, c in reduced.items()}, basis, n))
+            if len(reps) == count:
+                break
     return reps
 
 
@@ -626,10 +632,10 @@ def _filtered_homology(
                     # combinations index the columns of bases[k] in basis order
                     tracker = KernelTracker()
                     columns = (_column(images, s, m, indexes[k - 1]) for s, m in bases[k])
-                    cycles = [c for c in map(tracker.insert, columns) if c is not None]
+                    cycles = filter(None, map(tracker.insert, columns))
                 else:
-                    cycles = [{i: 1} for i in range(len(bases[0]))]
-                reps[k].extend(_reduce_cycles(cycles, echelons[k + 1], bases[k], n))
+                    cycles = ({i: 1} for i in range(len(bases[0])))
+                reps[k].extend(_reduce_cycles(cycles, echelons[k + 1], bases[k], n, dims[k]))
     return table, reps
 
 

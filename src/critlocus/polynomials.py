@@ -76,31 +76,21 @@ def monomials_of_degree(arity: int, degree: int) -> Iterator[Monomial]:
 class MonomialOrder:
     """A total order on monomials compatible with multiplication, 1 minimal.
 
-    ``kind`` is "grevlex" or "lex".  ``precedence`` lists variable indices
-    from most to least significant; None means natural order x0 > x1 > ...
+    ``kind`` is "grevlex" or "lex", with variables ordered x0 > x1 > ...
     """
 
     kind: str = "grevlex"
-    precedence: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown monomial order kind: {self.kind!r}")
 
-    def _perm(self, arity: int) -> Sequence[int]:
-        if self.precedence is None:
-            return range(arity)
-        if sorted(self.precedence) != list(range(arity)):
-            raise ValueError("precedence is not a permutation of the variables")
-        return self.precedence
-
     def key(self, mono: Monomial):
-        perm = self._perm(len(mono))
         if self.kind == "lex":
-            return tuple(mono[i] for i in perm)
+            return mono
         # grevlex: total degree first, ties broken by smaller exponent in the
         # least significant position (scanned from the back).
-        return (sum(mono), tuple(-mono[i] for i in reversed(perm)))
+        return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
 GREVLEX = MonomialOrder("grevlex")

@@ -48,12 +48,6 @@ class OneForm:
     def zero(cls, arity: int) -> "OneForm":
         return cls(tuple(MultiPoly.zero(arity) for _ in range(arity)))
 
-    def as_form_element(self) -> FormElement:
-        return FormElement(
-            {((i,), ()): CdgaElement.from_poly(a) for i, a in enumerate(self.components)},
-            self.arity,
-        )
-
 
 @dataclass(frozen=True)
 class ZeroLocusResult:

@@ -7,7 +7,6 @@ from critlocus import (
     ArityError,
     GREVLEX,
     LEX,
-    MonomialOrder,
     MultiPoly,
     ParseError,
     parse_polynomial,
@@ -100,13 +99,6 @@ def test_order_compatible_with_multiplication(rng):
                 am = tuple(x + y for x, y in zip(a, c))
                 bm = tuple(x + y for x, y in zip(b, c))
                 assert order.key(am) > order.key(bm)
-
-
-def test_custom_precedence_permutation():
-    order = MonomialOrder("lex", precedence=(1, 0))  # y > x
-    assert order.key((0, 1)) > order.key((5, 0))
-    with pytest.raises(ValueError):
-        MonomialOrder("lex", precedence=(0, 0)).key((1, 1))
 
 
 def test_parse_spec_grammar():

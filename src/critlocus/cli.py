@@ -2,7 +2,7 @@
 
 Subcommands mirror the analyses: ``analyze`` (critical locus), ``oneform``
 (zero locus of a 1-form), ``family`` (splitting analyses), ``point``
-(single-point reports).  Output is deterministic text or JSON (schema 1);
+(single-point reports).  Output is deterministic text or JSON (schema 2);
 exit status 0 on success, 2 on input errors, 3 on inconclusive verdicts,
 4 when an internal cross-check fails.
 """
@@ -308,7 +308,7 @@ def run(request: AnalysisRequest) -> AnalysisReport:
     """Execute one analysis request and assemble the deterministic report."""
     names = _variables(request)
     data: dict = {
-        "schema": 1,
+        "schema": 2,
         "engine_version": __version__,
         "request": _echo(request),
     }

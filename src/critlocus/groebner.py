@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .polynomials import (
@@ -44,8 +45,13 @@ class GroebnerBasis:
     order: MonomialOrder
     arity: int
 
-    def leading_monomials(self) -> list[Monomial]:
-        return [g.leading_monomial(self.order) for g in self.generators]
+    @cached_property
+    def _leads(self) -> tuple[Monomial, ...]:
+        return tuple(g.leading_monomial(self.order) for g in self.generators)
+
+    def leading_monomials(self) -> tuple[Monomial, ...]:
+        """The generators' leading monomials, computed once per basis."""
+        return self._leads
 
     def is_unit_ideal(self) -> bool:
         return len(self.generators) == 1 and self.generators[0].is_constant()

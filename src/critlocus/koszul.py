@@ -40,7 +40,14 @@ from .groebner import (
     is_zero_dimensional,
     quotient_basis,
 )
-from .linalg import EchelonAccumulator, IntVector, KernelTracker, Vector, rank as mat_rank
+from .linalg import (
+    EchelonAccumulator,
+    IntVector,
+    KernelTracker,
+    PolyMatrix,
+    Vector,
+    rank as mat_rank,
+)
 from .polynomials import (
     ArityError,
     Monomial,
@@ -469,7 +476,7 @@ def cotangent_complex_at(K: KoszulComplex, point: Sequence) -> TwoTermComplexAtP
             raise PointNotOnLocus(
                 "the structure polynomials do not all vanish at the point"
             )
-    matrix = tuple(zip(*([dg.evaluate(pt) for dg in row] for row in K.jacobian)))
+    matrix = tuple(zip(*PolyMatrix(K.jacobian).evaluate(pt)))
     return TwoTermComplexAtPoint(K.arity, matrix)
 
 
@@ -509,7 +516,18 @@ class HomologyReport:
 
 
 def default_homology_bound(K: KoszulComplex) -> int:
+    """The degree bound ``koszul_homology`` uses when none is given.
+
+    A weight-graded complex over a zero-dimensional ideal resolves R/J
+    (the g_i form a regular sequence), so H_0 vanishes above
+    s = sum(w_i - 1) and H_k = 0 for k >= 1: the bound s + max w covers all
+    of H_0 and leaves a quiet window of max w degrees.  The minimal safe
+    bound guards the unit ideal, where s + max w can be negative.  Any
+    other complex takes 2 * n * (top weight, plus one for a critical locus).
+    """
     top = minimal_safe_bound(K)
+    if K.is_weight_graded() and is_zero_dimensional(K.basis):
+        return max(top, sum(w - 1 for w in K.weights()) + top)
     if K.origin_tag == "critical_locus":
         top += 1  # partials of f have degree deg(f) - 1
     return 2 * K.arity * max(1, top)
@@ -639,6 +657,25 @@ def _filtered_homology(
     return table, reps
 
 
+def _check_hilbert_series(K: KoszulComplex, weights: tuple[int, ...], h0_row) -> None:
+    """Third route for a graded finite report: the H_0 row, the Hilbert series
+    prod_i (1 + t + ... + t^(w_i - 1)) of R/J and the staircase count per
+    degree must agree up to the bound; a disagreement raises EngineError."""
+    bound = len(h0_row) - 1
+    series = [1] + [0] * bound
+    for w in weights:  # times 1 + t + ... + t^(w-1); the empty sum for w = 0
+        series = [sum(series[max(0, d - w + 1) : d + 1]) for d in range(bound + 1)]
+    staircase = [0] * (bound + 1)
+    for d in map(mono_degree, K.standard_monomials):
+        if d <= bound:
+            staircase[d] += 1
+    if not list(h0_row) == series == staircase:
+        raise EngineError(
+            f"H_0 by degree {list(h0_row)}, Hilbert series {series} and staircase "
+            f"{staircase} of the Jacobian ring disagree up to degree {bound}"
+        )
+
+
 def koszul_homology(K: KoszulComplex, bound: int | None = None) -> HomologyReport:
     """Exact homology dimensions of (Sym T[1], contraction along g).
 
@@ -667,6 +704,8 @@ def koszul_homology(K: KoszulComplex, bound: int | None = None) -> HomologyRepor
             table=frozen_table,
             sliceable=sliceable,
         )
+    if sliceable:
+        _check_hilbert_series(K, weights, frozen_table[0])
     totals = {k: sum(frozen_table[k]) for k in range(n + 1)}
     window = max(minimal, 1)
     tail_quiet = all(

@@ -266,7 +266,26 @@ class PolyMatrix:
         )
 
     def evaluate(self, point: Sequence) -> Matrix:
-        return [[p.evaluate(point) for p in row] for row in self.entries]
+        """Every entry at the point.  The coordinates are converted once and
+        each power x_i**e is computed once per matrix, not once per entry."""
+        if self.ncols and len(point) != self.arity:
+            raise ArityError(f"point has {len(point)} coordinates, expected {self.arity}")
+        pt = [Fraction(x) for x in point]
+        powers: dict[tuple[int, int], Fraction] = {}
+
+        def value(p: MultiPoly) -> Fraction:
+            total = Fraction(0)
+            for mono, c in p.terms.items():
+                for i, e in enumerate(mono):
+                    if e:
+                        power = powers.get((i, e))
+                        if power is None:
+                            power = powers[(i, e)] = pt[i] ** e
+                        c *= power
+                total += c
+            return total
+
+        return [[value(p) for p in row] for row in self.entries]
 
     def det(self) -> MultiPoly:
         """Determinant by cofactor expansion; fine for small matrices."""

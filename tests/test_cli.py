@@ -29,7 +29,7 @@ class TestRun:
         )
         assert report.exit_status == 0
         data = report.data
-        assert data["schema"] == 1
+        assert data["schema"] == 2
         assert data["strict_locus"]["milnor_number"] == 1
         assert data["lambda_equivalence"]["regular_sequence"] is True
         point = data["points"][0]
@@ -131,7 +131,7 @@ class TestArgumentParsing:
         out = capsys.readouterr().out
         assert status == 0
         data = json.loads(out)
-        assert data["schema"] == 1 and data["strict_locus"]["milnor_number"] == 1
+        assert data["schema"] == 2 and data["strict_locus"]["milnor_number"] == 1
 
 
 GOLDEN_CORPUS = [
@@ -148,6 +148,7 @@ GOLDEN_CORPUS = [
     (["family", "--vars", "x,y", "--f", "x^2", "--tangent", "x"], 2),
     (["point", "--vars", "x", "--f", "x^2", "--point", "0,0"], 2),
     (["analyze", "--vars", "x,y", "--f", "x^3+y^3", "--bound", "1"], 3),
+    (["analyze", "--vars", "x,y", "--f", "x^3+y^3"], 0),  # pins the default bound
 ]
 
 

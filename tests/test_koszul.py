@@ -8,18 +8,23 @@ from critlocus import (
     ArityError,
     BoundTooSmall,
     CdgaElement,
+    EngineError,
     FormElement,
     KoszulComplex,
     MultiPoly,
     PointNotOnLocus,
     cotangent_complex_at,
     de_rham_and_internal,
+    default_homology_bound,
     koszul_differential,
     koszul_homology,
     parse_polynomial,
     wedge,
 )
+from critlocus import cli, koszul
+from critlocus.groebner import is_zero_dimensional
 from critlocus.koszul import _slice_basis
+from critlocus.polynomials import monomials_of_degree
 from critlocus.linalg import KernelTracker
 
 from conftest import random_poly
@@ -375,3 +380,76 @@ class TestRepresentativesModuloBoundaries:
             columns = [[row[j] for row in boundary] for j in range(ncols)]
             columns += [[p.terms.get(mono, F(0)) for _, mono in basis] for p in polys]
             assert dense_rank(columns) == dense_rank(columns[:ncols]) + len(polys)
+
+
+def random_graded_isolated(rng):
+    """A homogeneous f in 2-3 variables whose partials cut out a point: a sum
+    of powers of the sheared forms x_i + c*x_{i+1} (c = 0: unsheared), or a
+    random form of the same degree when its Jacobian ideal is zero-dimensional.
+    Cubics in 3 variables are sums of powers, whose homology at the bound
+    2*n*deg = 18 takes a tenth of the time a dense cubic's does."""
+    while True:
+        n = rng.randint(2, 3)
+        degree = rng.randint(2, 4 if n == 2 else 3)
+        if (n, degree) == (3, 3) or rng.random() < 0.5:
+            f = sheared(n, degree, rng.choice([0, 1, F(-1, 2), 2, F(-3, 2)]))
+        else:
+            f = MultiPoly(
+                {m: F(rng.randint(-4, 4)) for m in monomials_of_degree(n, degree)}, n
+            )
+        K = crit(f)
+        if not f.is_zero() and is_zero_dimensional(K.basis):
+            return K, degree
+
+
+class TestGradedDefaultBound:
+    """A graded finite complex resolves R/J, so the default bound
+    sum(w_i - 1) + max w certifies the same report as the bound 2*n*deg."""
+
+    def test_same_report_as_at_bound_2nd(self, rng):
+        for _ in range(10):
+            K, degree = random_graded_isolated(rng)
+            n = K.arity
+            mu = (degree - 1) ** n
+            bound = default_homology_bound(K)
+            assert bound == max(degree - 1, n * (degree - 2) + degree - 1)
+            rep = koszul_homology(K)
+            assert rep.bound == bound and rep.sliceable and rep.stabilized
+            assert rep.dimensions == {k: mu if k == 0 else 0 for k in range(n + 1)}
+            wide = koszul_homology(K, 2 * n * degree)
+            assert wide.dimensions == rep.dimensions and wide.stabilized
+            assert wide.representatives == rep.representatives
+
+    def test_unit_ideal_and_hilbert_mode(self):
+        x, y = variables(2)
+        assert default_homology_bound(crit(variables(1)[0])) == 0  # f = x: weights (0,)
+        assert default_homology_bound(crit(x**2 * y)) == 2 * 2 * 3  # not isolated
+
+
+class TestHilbertSeriesRoute:
+    """The H_0 row, the Hilbert series of R/J and the staircase must agree."""
+
+    @staticmethod
+    def corrupt_h0(monkeypatch):
+        real = koszul._filtered_homology
+
+        def corrupted(*args):
+            table, reps = real(*args)
+            table[0][0] += 1
+            return table, reps
+
+        monkeypatch.setattr(koszul, "_filtered_homology", corrupted)
+
+    @pytest.mark.parametrize("bound", [None, 7])
+    def test_corrupted_h0_row_raises(self, bound, monkeypatch):
+        self.corrupt_h0(monkeypatch)
+        x, y = variables(2)
+        with pytest.raises(EngineError, match="Hilbert series"):
+            koszul_homology(crit(x**3 + y**3), bound)
+
+    def test_corrupted_h0_row_exits_4(self, monkeypatch, capsys):
+        self.corrupt_h0(monkeypatch)
+        assert cli.main(["analyze", "--vars", "x,y", "--f", "x^3+y^3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal cross-check failed: ")

@@ -21,11 +21,9 @@ from .koszul import (
     EngineError,
     HomologyReport,
     KoszulComplex,
-    default_homology_bound,
     koszul_homology,
-    minimal_safe_bound,
 )
-from .linalg import PolyMatrix, invert
+from .linalg import PolyMatrix, invert, point_evaluator
 from .polynomials import ArityError, MultiPoly
 from .symplectic import OmegaVerification, omega_minus_one
 
@@ -167,9 +165,7 @@ class Crit:
         return omega_minus_one(self.f.arity, self.complex)
 
     def homology(self, bound: int | None) -> HomologyReport:
-        """Koszul homology at ``bound`` (None: the default bound)."""
-        if bound is None:
-            bound = default_homology_bound(self.complex)
+        """Koszul homology at ``bound`` (None: the default bound search)."""
         return self._once(("homology", bound), lambda: koszul_homology(self.complex, bound))
 
     def lambda_verdict(self, bound: int | None) -> LambdaVerdict:
@@ -178,7 +174,9 @@ class Crit:
         Height criterion: over a polynomial ring the n partials are regular
         iff the Jacobian quotient is zero-dimensional (the unit ideal counts:
         both loci are then empty).  Koszul homology in degrees k >= 1 is an
-        independent cross-check; disagreement raises EngineError.
+        independent cross-check.  A graded complex's homology is exact, so a
+        disagreement raises EngineError; an ungraded image only bounds the
+        homology from above, so there it leaves the cross-check inconclusive.
         """
         locus = self.locus
         regular = locus.zero_dimensional
@@ -188,28 +186,23 @@ class Crit:
             criterion = "Jacobian quotient has dimension 0 (height n over a Cohen-Macaulay ring)"
         else:
             criterion = f"Jacobian quotient has dimension {locus.dimension} > 0"
-        if bound is None:
-            bound = default_homology_bound(self.complex)
-            if not self.complex.is_weight_graded():
-                # the truncated path is quadratic in the basis; keep it modest
-                bound = min(bound, minimal_safe_bound(self.complex) + 3)
         report = self.homology(bound)
         positive = {
             k: (report.dimensions[k] if report.mode == "finite" else sum(report.table[k]))
             for k in range(1, self.f.arity + 1)
         }
         any_positive = any(v != 0 for v in positive.values())
-        if regular and any_positive:
+        if regular and any_positive and report.sliceable:
             raise EngineError(
                 "height criterion says regular sequence but positive-degree homology is nonzero"
             )
-        cross = "confirms" if regular or any_positive else "inconclusive within bound"
+        cross = "confirms" if regular != any_positive else "inconclusive within bound"
         return LambdaVerdict(
             regular=regular,
             criterion=criterion,
             dimension=locus.dimension,
             positive_degree_dimensions=positive,
-            homology_bound=bound,
+            homology_bound=report.bound,
             cross_check=cross,
         )
 
@@ -223,8 +216,9 @@ class Crit:
         pt = tuple(Fraction(x) for x in point)
         if len(pt) != self.f.arity:
             raise ArityError("point arity mismatch")
-        on_locus = all(g.evaluate(pt) == 0 for g in self.complex.diff_images)
-        hess = self.hessian.matrix.evaluate(pt)
+        value = point_evaluator(pt)  # one evaluator: the point's powers are shared
+        on_locus = not any(map(value, self.complex.diff_images))
+        hess = [list(map(value, row)) for row in self.complex.jacobian]
         alpha = invert(hess) if on_locus else None
         nondegenerate = on_locus and alpha is not None
         return CriticalPointReport(
@@ -299,8 +293,6 @@ class Crit:
         if not s.validated:
             raise ValueError("splitting has not been validated")
         n = self.f.arity
-        if bound is None:
-            bound = default_homology_bound(self.complex)
         _, nondeg = self.normal_hessian(s)
         try:
             report = self.homology(bound)
@@ -313,11 +305,11 @@ class Crit:
                 normal_hessian_nondegenerate=nondeg,
                 mismatches=(),
             )
-        t = len(s.tangent_vars)
+        bound, t = report.bound, len(s.tangent_vars)
         # monomials of degree d in the t tangent variables
         hilbert = [math.comb(d + t - 1, d) if t else int(d == 0) for d in range(bound + 1)]
         model = {k: tuple(math.comb(t, k) * h for h in hilbert) for k in range(n + 1)}
-        crit_table = {k: report.graded_dimensions(k) for k in range(n + 1)}
+        crit_table = report.table
         mismatches = tuple(
             (k, d, crit_table[k][d], model[k][d])
             for k in range(n + 1)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import lcm
 from operator import add
 from typing import Mapping, Sequence
@@ -44,8 +44,8 @@ from .linalg import (
     EchelonAccumulator,
     IntVector,
     KernelTracker,
-    PolyMatrix,
     Vector,
+    point_evaluator,
     rank as mat_rank,
 )
 from .polynomials import (
@@ -270,6 +270,11 @@ class KoszulComplex:
         """Staircase of the ideal: its standard monomials (zero-dimensional only)."""
         return quotient_basis(self.basis)
 
+    @cached_property
+    def staircase_degree(self) -> int:
+        """Top degree of a standard monomial; 0 for the unit ideal."""
+        return max(map(mono_degree, self.standard_monomials), default=0)
+
 
 def koszul_differential(K: KoszulComplex, element: CdgaElement) -> CdgaElement:
     """Odd derivation with delta(xi_i) = g_i, zero on polynomials."""
@@ -470,13 +475,10 @@ class TwoTermComplexAtPoint:
 def cotangent_complex_at(K: KoszulComplex, point: Sequence) -> TwoTermComplexAtPoint:
     if len(point) != K.arity:
         raise ArityError("point arity mismatch")
-    pt = [Fraction(x) for x in point]
-    for g in K.diff_images:
-        if g.evaluate(pt) != 0:
-            raise PointNotOnLocus(
-                "the structure polynomials do not all vanish at the point"
-            )
-    matrix = tuple(zip(*PolyMatrix(K.jacobian).evaluate(pt)))
+    value = point_evaluator(point)
+    if any(map(value, K.diff_images)):
+        raise PointNotOnLocus("the structure polynomials do not all vanish at the point")
+    matrix = tuple(zip(*(map(value, row) for row in K.jacobian)))
     return TwoTermComplexAtPoint(K.arity, matrix)
 
 
@@ -486,14 +488,15 @@ def cotangent_complex_at(K: KoszulComplex, point: Sequence) -> TwoTermComplexAtP
 
 @dataclass(frozen=True)
 class HomologyReport:
-    """Graded dimensions of the Koszul homology, per exterior degree k.
+    """Dimensions of the Koszul homology, per exterior degree k.
 
-    ``table[k][d]`` is the dimension contributed at polynomial degree d
-    (xi_i weighted by deg g_i).  In finite mode (zero-dimensional ideal)
-    ``dimensions`` carries exact totals and ``representatives`` cycle
-    bases; ``stabilized`` records whether the tabulated range certifies
-    the totals.  ``sliceable`` tells whether the differential was graded
-    (per-degree entries are honest graded dimensions) or only filtered.
+    ``table[k][d]`` is the jump at polynomial degree d (xi_i weighted by deg g_i)
+    of the image of H_k(C^{<=d}) in H_k(C^{<=bound}), zero above the tabulated
+    range.  ``sliceable``: the differential is weight-graded, so the entries
+    are graded dimensions; otherwise they only filter the homology.  In finite
+    mode ``dimensions`` holds the totals and ``representatives`` one cycle per
+    dimension; ``stabilized`` certifies the totals: H_0 has the staircase
+    count of R/J and every H_k, k >= 1, is zero, as for a regular sequence.
     """
 
     mode: str  # "finite" | "hilbert"
@@ -506,28 +509,26 @@ class HomologyReport:
     representatives: dict[int, tuple[CdgaElement, ...]] | None = None
     stabilized: bool | None = None
 
-    def dimension(self, k: int) -> int:
-        if self.dimensions is None:
-            raise ValueError("totals are only available in finite mode")
-        return self.dimensions.get(k, 0)
-
-    def graded_dimensions(self, k: int) -> tuple[int, ...]:
-        return self.table.get(k, tuple(0 for _ in range(self.bound + 1)))
-
 
 def default_homology_bound(K: KoszulComplex) -> int:
-    """The degree bound ``koszul_homology`` uses when none is given.
+    """The first degree bound ``koszul_homology`` tries when none is given.
 
-    A weight-graded complex over a zero-dimensional ideal resolves R/J
-    (the g_i form a regular sequence), so H_0 vanishes above
-    s = sum(w_i - 1) and H_k = 0 for k >= 1: the bound s + max w covers all
-    of H_0 and leaves a quiet window of max w degrees.  The minimal safe
-    bound guards the unit ideal, where s + max w can be negative.  Any
-    other complex takes 2 * n * (top weight, plus one for a critical locus).
+    Over a zero-dimensional ideal: s + max w, s the staircase degree.  The
+    image of H(C^{<=s}) holds all of H_0, and max w further degrees give its
+    boundaries room; for a graded complete intersection s = sum(w_i - 1) and
+    this bound certifies.  max w guards the unit ideal.  Any other complex
+    takes ``_widest_bound``.
     """
     top = minimal_safe_bound(K)
-    if K.is_weight_graded() and is_zero_dimensional(K.basis):
-        return max(top, sum(w - 1 for w in K.weights()) + top)
+    if is_zero_dimensional(K.basis):
+        return max(top, K.staircase_degree + top)
+    return _widest_bound(K)
+
+
+def _widest_bound(K: KoszulComplex) -> int:
+    """2 * n * (top weight, plus one for a critical locus): the hilbert-mode
+    bound, and the last bound a finite search tries."""
+    top = minimal_safe_bound(K)
     if K.origin_tag == "critical_locus":
         top += 1  # partials of f have degree deg(f) - 1
     return 2 * K.arity * max(1, top)
@@ -605,55 +606,56 @@ def _reduce_cycles(cycles, image: EchelonAccumulator, basis, n: int, count: int)
 
 
 def _filtered_homology(
-    K: KoszulComplex, weights: tuple[int, ...], bound: int, finite: bool, graded: bool
+    K: KoszulComplex, weights: tuple[int, ...], bound: int, top: int, finite: bool
 ):
-    """Homology of the weight-truncated subcomplexes C^{<=d}, d = 0..bound.
+    """Image of H_k(C^{<=d}) in H_k(C^{<=bound}) for d = 0..top, each k.
 
-    Valid for arbitrary structure polynomials: the differential never raises
-    the weighted degree, so each truncation is a subcomplex.  Table entries
-    are the dimension jumps between consecutive truncations.  A weight-graded
-    differential preserves the degree, so the complex splits into one block
-    per degree and each block is eliminated on its own; otherwise a single
-    block grows through all degrees.  Only ranks are kept while a block
-    grows; representatives are collected at the end of each block, and the
-    kernel combinations for k >= 1 are built there only where H_k != 0.
+    The differential never raises the weighted degree, so the image is the
+    cycles of C^{<=d} modulo B ∩ C^{<=d}, B the boundaries of C^{<=bound}
+    (Lazard 1983, a Macaulay matrix).  Chains are indexed from the top degree
+    down, so with smallest-index pivots the boundary rows whose lead has
+    degree <= d span B ∩ C^{<=d}; the columns go in by ascending degree,
+    which counts the cycles of degree <= d.  Table entries are the jumps of
+    the image, zero above top.  In finite mode the image at top gets one
+    representative per dimension, with kernel combinations for k >= 1 built
+    only where it is nonzero.
     """
     n = K.arity
     images = _integer_images(K)
-    table: dict[int, list[int]] = {k: [0] * (bound + 1) for k in range(n + 1)}
+    degrees = range(bound + 1)
+    slices = {k: [_slice_basis(n, k, d, weights) for d in degrees] for k in range(n + 2)}
+    bases = {k: [key for d in reversed(degrees) for key in s[d]] for k, s in slices.items()}
+    degree_of = {k: [d for d in reversed(degrees) for _ in s[d]] for k, s in slices.items()}
+    indexes = {k: {key: i for i, key in enumerate(b)} for k, b in bases.items()}
+    # cycles[k][d]: dimension of the cycles of degree <= d
+    cycles, echelons = {}, {}
+    for k in range(n + 2):
+        echelons[k] = echelon = EchelonAccumulator()
+        cycles[k] = list(accumulate(map(len, slices[k])))
+        for d in degrees:
+            for subset, mono in slices[k][d] if k else ():
+                echelon.insert(_column(images, subset, mono, indexes[k - 1]))
+            cycles[k][d] -= echelon.rank
+    table: dict[int, list[int]] = {}
     reps: dict[int, list[CdgaElement]] = {k: [] for k in range(n + 1)}
-    for d in range(bound + 1):
-        if graded or d == 0:
-            bases: dict[int, list] = {k: [] for k in range(n + 2)}
-            indexes: dict[int, dict] = {k: {} for k in range(n + 2)}
-            echelons = {k: EchelonAccumulator() for k in range(1, n + 2)}
-            previous = [0] * (n + 1)
-        blocks = {k: _slice_basis(n, k, d, weights) for k in range(n + 2)}
-        for k, block in blocks.items():
-            indexes[k].update((key, len(bases[k]) + i) for i, key in enumerate(block))
-            bases[k].extend(block)
-        for k in range(1, n + 2):
-            for subset, mono in blocks[k]:
-                echelons[k].insert(_column(images, subset, mono, indexes[k - 1]))
-        dims = [
-            len(bases[k]) - (echelons[k].rank if k else 0) - echelons[k + 1].rank
-            for k in range(n + 1)
-        ]
-        for k in range(n + 1):
-            table[k][d] = dims[k] - previous[k]
-        previous = dims
-        if finite and (graded or d == bound):
-            for k in range(n + 1):
-                if dims[k] == 0:
-                    continue
-                if k:
-                    # combinations index the columns of bases[k] in basis order
-                    tracker = KernelTracker()
-                    columns = (_column(images, s, m, indexes[k - 1]) for s, m in bases[k])
-                    cycles = filter(None, map(tracker.insert, columns))
-                else:
-                    cycles = ({i: 1} for i in range(len(bases[0])))
-                reps[k].extend(_reduce_cycles(cycles, echelons[k + 1], bases[k], n, dims[k]))
+    for k in range(n + 1):
+        leads = [0] * (bound + 1)
+        for p in echelons[k + 1].rows:
+            leads[degree_of[k][p]] += 1
+        image = [z - b for z, b in zip(cycles[k][: top + 1], accumulate(leads))]
+        table[k] = [b - a for a, b in zip([0] + image, image)] + [0] * (bound - top)
+        if not finite or not image[top]:
+            continue
+        # the chains of degree <= top in the order their columns go in
+        order = [indexes[k][key] for d in range(top + 1) for key in slices[k][d]]
+        if k:
+            tracker = KernelTracker()
+            columns = (_column(images, *bases[k][i], indexes[k - 1]) for i in order)
+            kernel = filter(None, map(tracker.insert, columns))
+            found = ({order[j]: c for j, c in combo.items()} for combo in kernel)
+        else:
+            found = ({i: 1} for i in order)
+        reps[k] = _reduce_cycles(found, echelons[k + 1], bases[k], n, image[top])
     return table, reps
 
 
@@ -679,49 +681,50 @@ def _check_hilbert_series(K: KoszulComplex, weights: tuple[int, ...], h0_row) ->
 def koszul_homology(K: KoszulComplex, bound: int | None = None) -> HomologyReport:
     """Exact homology dimensions of (Sym T[1], contraction along g).
 
-    Finite mode (zero-dimensional ideal): exact totals per exterior degree k
-    with representative cycles.  Otherwise hilbert mode: a table of graded
-    dimensions per polynomial degree up to the bound.
+    Finite mode (zero-dimensional ideal): totals per exterior degree k with
+    representative cycles, from the image of H(C^{<=top}) in H(C^{<=bound}),
+    top = min(bound, staircase degree).  With no bound given, the bounds from
+    ``default_homology_bound`` to ``_widest_bound`` are tried until one is
+    stabilized.  The boundaries lie in J, so an H_0 image below the staircase
+    count raises EngineError.  Otherwise hilbert mode, tabulated up to the bound.
     """
     n = K.arity
     minimal = minimal_safe_bound(K)
-    if bound is None:
-        bound = default_homology_bound(K)
-    if bound < minimal:
-        raise BoundTooSmall(bound, minimal)
-    gb = K.basis
-    finite = is_zero_dimensional(gb)
+    first = default_homology_bound(K) if bound is None else bound
+    if first < minimal:
+        raise BoundTooSmall(first, minimal)
     sliceable = K.is_weight_graded()
     weights = K.weights()
-    table, reps = _filtered_homology(K, weights, bound, finite, sliceable)
-    frozen_table = {k: tuple(v) for k, v in table.items()}
-    if not finite:
-        return HomologyReport(
-            mode="hilbert",
-            arity=n,
-            bound=bound,
-            weights=weights,
-            table=frozen_table,
-            sliceable=sliceable,
-        )
-    if sliceable:
-        _check_hilbert_series(K, weights, frozen_table[0])
-    totals = {k: sum(frozen_table[k]) for k in range(n + 1)}
-    window = max(minimal, 1)
-    tail_quiet = all(
-        frozen_table[k][d] == 0
-        for k in range(1, n + 1)
-        for d in range(max(0, bound - window), bound + 1)
-    )
-    h0_complete = bound >= max(map(mono_degree, K.standard_monomials), default=-1)
+    finite = is_zero_dimensional(K.basis)
+    last = max(first, _widest_bound(K)) if finite and bound is None else first
+    extra = {}
+    for bound in range(first, last + 1):
+        top = min(bound, K.staircase_degree) if finite else bound
+        table, reps = _filtered_homology(K, weights, bound, top, finite)
+        if not finite:
+            break
+        if sliceable:
+            _check_hilbert_series(K, weights, table[0])
+        totals = {k: sum(table[k]) for k in range(n + 1)}
+        floor = sum(mono_degree(m) <= top for m in K.standard_monomials)
+        if totals[0] < floor:
+            raise EngineError(
+                f"H_0 image {totals[0]} up to degree {top} is below the staircase count {floor}"
+            )
+        stabilized = list(totals.values()) == [len(K.standard_monomials)] + [0] * n
+        extra = {
+            "dimensions": totals,
+            "representatives": {k: tuple(v) for k, v in reps.items()},
+            "stabilized": stabilized,
+        }
+        if stabilized:
+            break
     return HomologyReport(
-        mode="finite",
+        mode="finite" if finite else "hilbert",
         arity=n,
         bound=bound,
         weights=weights,
-        table=frozen_table,
+        table={k: tuple(v) for k, v in table.items()},
         sliceable=sliceable,
-        dimensions=totals,
-        representatives={k: tuple(v) for k, v in reps.items()},
-        stabilized=tail_quiet and h0_complete,
+        **extra,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .polynomials import ArityError, MultiPoly
 
@@ -223,6 +223,26 @@ class KernelTracker:
         return None
 
 
+def point_evaluator(point: Sequence) -> Callable[[MultiPoly], Fraction]:
+    """Values at the point; coordinates convert once, each x_i**e is computed once."""
+    pt = [Fraction(x) for x in point]
+    powers: dict[tuple[int, int], Fraction] = {}
+
+    def value(p: MultiPoly) -> Fraction:
+        total = Fraction(0)
+        for mono, c in p.terms.items():
+            for i, e in enumerate(mono):
+                if e:
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[(i, e)] = pt[i] ** e
+                    c *= power
+            total += c
+        return total
+
+    return value
+
+
 @dataclass(frozen=True)
 class PolyMatrix:
     """Rectangular grid of polynomials sharing one ambient ring."""
@@ -266,25 +286,10 @@ class PolyMatrix:
         )
 
     def evaluate(self, point: Sequence) -> Matrix:
-        """Every entry at the point.  The coordinates are converted once and
-        each power x_i**e is computed once per matrix, not once per entry."""
+        """Every entry at the point, by one ``point_evaluator``."""
         if self.ncols and len(point) != self.arity:
             raise ArityError(f"point has {len(point)} coordinates, expected {self.arity}")
-        pt = [Fraction(x) for x in point]
-        powers: dict[tuple[int, int], Fraction] = {}
-
-        def value(p: MultiPoly) -> Fraction:
-            total = Fraction(0)
-            for mono, c in p.terms.items():
-                for i, e in enumerate(mono):
-                    if e:
-                        power = powers.get((i, e))
-                        if power is None:
-                            power = powers[(i, e)] = pt[i] ** e
-                        c *= power
-                total += c
-            return total
-
+        value = point_evaluator(point)
         return [[value(p) for p in row] for row in self.entries]
 
     def det(self) -> MultiPoly:

@@ -149,6 +149,8 @@ GOLDEN_CORPUS = [
     (["point", "--vars", "x", "--f", "x^2", "--point", "0,0"], 2),
     (["analyze", "--vars", "x,y", "--f", "x^3+y^3", "--bound", "1"], 3),
     (["analyze", "--vars", "x,y", "--f", "x^3+y^3"], 0),  # pins the default bound
+    # ungraded and isolated: H_0 = mu = 7 at the first bound, 6
+    (["analyze", "--vars", "x,y", "--f", "-2*x^2*y^2+5*x^3+4*x*y^2+4*y^3"], 0),
 ]
 
 

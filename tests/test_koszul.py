@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -30,6 +31,7 @@ from critlocus.linalg import KernelTracker
 from conftest import random_poly
 from oracles import koszul_homology_dim
 from oracles import dense_rank, koszul_slice_basis, koszul_slice_matrix
+from test_homology_golden import complex_of
 
 
 def variables(n):
@@ -46,9 +48,16 @@ def _two_morse_points():
 
 
 def _one_form_with_h1():
-    # the truncation at bound 3 has H_1 != 0, so a kernel combination is read
+    # the homology of its truncation at bound 3 has H_1 != 0; the complex has none
     x, y, z = variables(3)
     return KoszulComplex(3, (F(5, 2) * x * y, 5 * x**3 - 2, x * z), "one_form")
+
+
+def _unit_ideal_with_zero_generator():
+    # at bound 3 the image keeps 1 and the cycle xi_0 of degree 0: neither
+    # bounds anything of degree <= 3, so a kernel combination is read
+    x, y, _ = variables(3)
+    return KoszulComplex(3, (MultiPoly.zero(3), -4 * x**2, x * y - 3), "one_form")
 
 
 def random_complex(rng, n, max_degree=3):
@@ -282,16 +291,20 @@ class TestHomology:
             assert koszul_differential(K, r).is_zero()
 
     @pytest.mark.parametrize(
-        "build, bound, dimensions",
-        [(_two_morse_points, 8, {0: 2, 1: 0}), (_one_form_with_h1, 3, {0: 12, 1: 1, 2: 0, 3: 0})],
-        ids=["two-morse-points", "one-form-h1"],
+        "build, bound, dimensions, stabilized",
+        [
+            (_two_morse_points, 8, {0: 2, 1: 0}, True),
+            (_one_form_with_h1, None, {0: 3, 1: 0, 2: 0, 3: 0}, True),
+            (_unit_ideal_with_zero_generator, 3, {0: 1, 1: 1, 2: 0, 3: 0}, False),
+        ],
+        ids=["two-morse-points", "one-form-h1", "unit-ideal-at-bound-3"],
     )
-    def test_filtered_path_on_inhomogeneous_input(self, build, bound, dimensions):
+    def test_filtered_path_on_inhomogeneous_input(self, build, bound, dimensions, stabilized):
         K = build()
         rep = koszul_homology(K, bound=bound)
         assert not rep.sliceable
         assert rep.mode == "finite"
-        assert rep.dimensions == dimensions
+        assert rep.dimensions == dimensions and rep.stabilized == stabilized
         for k, reps in rep.representatives.items():
             assert len(reps) == dimensions[k]
             for r in reps:
@@ -453,3 +466,95 @@ class TestHilbertSeriesRoute:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: internal cross-check failed: ")
+
+
+UNGRADED = ["analyze", "--vars", "x,y", "--f", "-2*x^2*y^2+5*x^3+4*x*y^2+4*y^3"]
+
+
+class TestImageHomology:
+    """Ungraded finite complexes: the image of H(C^{<=top}) in H(C^{<=bound})
+    gives H_0 = mu and H_k = 0 for k >= 1, certified at the default bound.
+    The Milnor numbers are those of sympy's grevlex bases."""
+
+    REPROS = [
+        ("x,y", "-2*x^2*y^2+5*x^3+4*x*y^2+4*y^3", 7),
+        ("x,y", "2/3*x^2-y;x*y^2", 5),
+        ("x,y,z", "x^3+y^3+z^3+x*y*z/2+x*y", 8),
+        ("x,y,z,w", "x^3+y^3+z^3+w^3+x*y*z*w", 43),
+    ]
+
+    @pytest.mark.parametrize("variables, text, mu", REPROS, ids=[c[1] for c in REPROS])
+    def test_default_bound_reaches_the_milnor_number(self, variables, text, mu):
+        K = complex_of(variables, text)
+        rep = koszul_homology(K)
+        assert not rep.sliceable and rep.stabilized
+        assert rep.dimensions == {k: mu if k == 0 else 0 for k in range(K.arity + 1)}
+        assert [len(rep.representatives[k]) for k in range(K.arity + 1)] == [mu] + [0] * K.arity
+
+    def test_explicit_bounds_certify_only_a_complete_image(self):
+        K = complex_of("x,y,z,w", "x^3+y^3+z^3+w^3+x*y*z*w")
+        short = koszul_homology(K, 6)
+        assert short.dimensions[0] == 76 and not short.stabilized
+        wide = koszul_homology(K, 7)
+        assert wide.dimensions[0] == 43 and wide.stabilized
+
+    def test_random_sweep_at_the_default_bound(self):
+        rng = random.Random(1983)
+        seen = {"zero generator": 0, "unit ideal": 0}
+        checked = 0
+        while checked < 200:
+            n = rng.randint(1, 3)
+            gs = tuple(
+                MultiPoly.zero(n) if rng.random() < 0.1 else random_poly(rng, n) for _ in range(n)
+            )
+            K = KoszulComplex(n, gs, "one_form")
+            if K.is_weight_graded() or not is_zero_dimensional(K.basis):
+                continue
+            mu = len(K.standard_monomials)
+            seen["zero generator"] += any(g.is_zero() for g in gs)
+            seen["unit ideal"] += mu == 0
+            rep = koszul_homology(K)
+            assert rep.stabilized, gs
+            assert rep.dimensions == {k: mu if k == 0 else 0 for k in range(n + 1)}, gs
+            checked += 1
+        assert all(seen.values()), seen
+
+    def test_ungraded_analyze_computes_homology_once(self, monkeypatch, capsys):
+        bounds = []
+        real = koszul._filtered_homology
+
+        def counted(*args):
+            bounds.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(koszul, "_filtered_homology", counted)
+        assert cli.main(UNGRADED) == 0
+        assert bounds == [6]
+
+    @staticmethod
+    def shift(monkeypatch, k, delta):
+        real = koszul._filtered_homology
+
+        def shifted(*args):
+            table, reps = real(*args)
+            table[k][0] += delta
+            return table, reps
+
+        monkeypatch.setattr(koszul, "_filtered_homology", shifted)
+
+    def test_h0_image_below_the_staircase_exits_4(self, monkeypatch, capsys):
+        self.shift(monkeypatch, 0, -1)
+        assert cli.main(UNGRADED) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal cross-check failed: H_0 image 6 ")
+
+    def test_positive_image_leaves_the_cross_check_inconclusive(self, monkeypatch, capsys):
+        self.shift(monkeypatch, 1, 1)
+        assert cli.main(UNGRADED + ["--bound", "6", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        verdict = data["lambda_equivalence"]
+        assert verdict["regular_sequence"] is True
+        assert verdict["homology_cross_check"] == "inconclusive within bound"
+        assert verdict["positive_degree_dimensions"]["1"] == 1
+        assert data["homology"]["stabilized"] is False

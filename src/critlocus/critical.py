@@ -118,7 +118,7 @@ class PhiComparisonReport:
 def _restrict(p: MultiPoly, s: SplittingData) -> MultiPoly:
     """p on the subspace {x_j = 0, j normal}: p modulo the normal variables."""
     kept = {m: c for m, c in p.terms.items() if not any(m[j] for j in s.normal_vars)}
-    return MultiPoly(kept, p.arity)
+    return MultiPoly._trusted(kept, p.arity)
 
 
 class Crit:

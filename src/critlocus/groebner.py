@@ -20,6 +20,7 @@ from .polynomials import (
     Monomial,
     MonomialOrder,
     MultiPoly,
+    _accumulate,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -64,20 +65,30 @@ def _reduce(
     p: MultiPoly, divisors: list[tuple[Monomial, MultiPoly]], order: MonomialOrder
 ) -> MultiPoly:
     """Full remainder of p on division by the (lead, generator) pairs, first
-    divisor wins."""
-    remainder_terms: dict[Monomial, Fraction] = {}
-    h = p
-    while h.terms:
-        lm = h.leading_monomial(order)
-        lc = h.terms[lm]
+    divisor wins.
+
+    One working dict ``h`` is updated in place.  Each step pops the leading
+    term c*x^q*lead(g) of ``h``: it moves to the remainder when no divisor's
+    lead divides it, and otherwise c*x^q*(g - lead(g)) is subtracted from
+    ``h``, which is the whole of c*x^q*g apart from the popped term.
+    """
+    remainder: dict[Monomial, Fraction] = {}
+    h = dict(p.terms)
+    key = order.key
+    while h:
+        lm = max(h, key=key)
+        lc = h.pop(lm)
         for gm, g in divisors:
             if mono_divides(gm, lm):
-                h = h - MultiPoly.monomial(mono_div(lm, gm), lc / g.terms[gm]) * g
+                q = mono_div(lm, gm)
+                c = -lc / g.terms[gm]
+                for m, gc in g.terms.items():
+                    if m != gm:
+                        _accumulate(h, mono_mul(m, q), c * gc)
                 break
         else:
-            remainder_terms[lm] = lc
-            h = h - MultiPoly.monomial(lm, lc)
-    return MultiPoly(remainder_terms, p.arity)
+            remainder[lm] = lc
+    return MultiPoly._trusted(remainder, p.arity)
 
 
 def buchberger(

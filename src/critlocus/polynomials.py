@@ -4,6 +4,14 @@ The coefficient field is the rationals, realized by ``fractions.Fraction``
 (already reduced, positive denominator).  Monomials are plain exponent
 tuples; a polynomial is a finite map from monomials to nonzero coefficients.
 All values are immutable after construction and every operation is pure.
+
+The public constructor ``MultiPoly(terms, arity)`` validates its input: it
+checks every monomial's arity, converts every coefficient with ``Fraction``
+and drops zeros.  Arithmetic, differentiation, the parser and the Groebner
+layer build their results with the private ``MultiPoly._trusted``, which
+wraps a term dict that is already clean (tuple monomials of the right
+arity, nonzero coefficients of type ``Fraction``) without copying or
+checking it.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -35,19 +44,19 @@ class ParseError(ValueError):
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: Monomial) -> int:
@@ -90,7 +99,7 @@ class MonomialOrder:
             return mono
         # grevlex: total degree first, ties broken by smaller exponent in the
         # least significant position (scanned from the back).
-        return (sum(mono), tuple(-e for e in reversed(mono)))
+        return (sum(mono), tuple([-e for e in reversed(mono)]))
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -99,6 +108,20 @@ LEX = MonomialOrder("lex")
 
 # ---------------------------------------------------------------------------
 # polynomials
+
+
+def _accumulate(terms: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) -> None:
+    """Add the nonzero term coeff*mono into a term dict in place; a sum that
+    cancels removes the monomial."""
+    old = terms.get(mono)
+    if old is None:
+        terms[mono] = coeff
+    else:
+        total = old + coeff
+        if total:
+            terms[mono] = total
+        else:
+            del terms[mono]
 
 
 class MultiPoly:
@@ -125,6 +148,16 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     # -- constructors --------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, terms: dict[Monomial, Fraction], arity: int) -> "MultiPoly":
+        """Wrap ``terms`` as is: the caller guarantees tuple monomials of
+        length ``arity`` and nonzero ``Fraction`` coefficients, and hands the
+        dict over."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "arity", arity)
+        return p
 
     @classmethod
     def zero(cls, arity: int) -> "MultiPoly":
@@ -186,17 +219,13 @@ class MultiPoly:
         self._check(other)
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = res.get(m, Fraction(0)) + c
-            if s == 0:
-                res.pop(m, None)
-            else:
-                res[m] = s
-        return MultiPoly(res, self.arity)
+            _accumulate(res, m, c)
+        return MultiPoly._trusted(res, self.arity)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({m: -c for m, c in self.terms.items()}, self.arity)
+        return MultiPoly._trusted({m: -c for m, c in self.terms.items()}, self.arity)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -215,13 +244,8 @@ class MultiPoly:
         res: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = res.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    res.pop(m, None)
-                else:
-                    res[m] = s
-        return MultiPoly(res, self.arity)
+                _accumulate(res, mono_mul(m1, m2), c1 * c2)
+        return MultiPoly._trusted(res, self.arity)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -229,10 +253,11 @@ class MultiPoly:
         return NotImplemented
 
     def scale(self, scalar: Scalar) -> "MultiPoly":
-        s = Fraction(scalar)
+        # a Fraction times an int or a Fraction is a Fraction
+        s = scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar)
         if s == 0:
             return MultiPoly.zero(self.arity)
-        return MultiPoly({m: c * s for m, c in self.terms.items()}, self.arity)
+        return MultiPoly._trusted({m: c * s for m, c in self.terms.items()}, self.arity)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -255,6 +280,10 @@ class MultiPoly:
         return self.arity == other.arity and self.terms == other.terms
 
     def __hash__(self):
+        # a constant polynomial equals its value (see __eq__), so it hashes
+        # as that value
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.arity, frozenset(self.terms.items())))
 
     # -- calculus and evaluation ----------------------------------------
@@ -263,14 +292,14 @@ class MultiPoly:
         """Formal partial derivative with respect to variable ``index``."""
         if not 0 <= index < self.arity:
             raise IndexError(f"variable index {index} out of range")
+        # distinct monomials with a positive exponent at ``index`` have
+        # distinct derivatives, so no two terms collect
         res: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             e = m[index]
-            if e == 0:
-                continue
-            dm = tuple(x - 1 if i == index else x for i, x in enumerate(m))
-            res[dm] = res.get(dm, Fraction(0)) + c * e
-        return MultiPoly(res, self.arity)
+            if e:
+                res[m[:index] + (e - 1,) + m[index + 1 :]] = c * e
+        return MultiPoly._trusted(res, self.arity)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.arity:
@@ -367,13 +396,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Each term is read as an exponent
+    list and an integer fraction; the terms collect into one dict, and the
+    polynomial is built once at the end."""
+
     def __init__(self, text: str, names: Sequence[str]):
+        self.index = {n: i for i, n in enumerate(names)}
+        self.arity = len(names)
+        if len(self.index) != self.arity:
+            raise ValueError(f"duplicate variable names in {list(names)!r}")
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.names = list(names)
-        self.arity = len(names)
-        self.index = {n: i for i, n in enumerate(names)}
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -386,21 +420,22 @@ class _Parser:
         return tok
 
     def parse(self) -> MultiPoly:
-        result = self.parse_term_signed()
+        terms: dict[Monomial, Fraction] = {}
+        sign = 1
         while True:
+            mono, coeff = self.parse_term_signed(sign)
+            if coeff:
+                _accumulate(terms, mono, coeff)
             tok = self.peek()
             if tok is None:
-                return result
+                return MultiPoly._trusted(terms, self.arity)
             kind, value, offset = tok
-            if kind == "op" and value in "+-":
-                self.take()
-                term = self.parse_term_signed()
-                result = result + term if value == "+" else result - term
-            else:
+            if kind != "op" or value not in "+-":
                 raise ParseError(f"expected '+' or '-', found {value!r}", offset)
+            self.take()
+            sign = 1 if value == "+" else -1
 
-    def parse_term_signed(self) -> MultiPoly:
-        sign = 1
+    def parse_term_signed(self, sign: int) -> tuple[Monomial, Fraction]:
         while True:
             tok = self.peek()
             if tok is not None and tok[0] == "op" and tok[1] in "+-":
@@ -409,55 +444,65 @@ class _Parser:
                     sign = -sign
             else:
                 break
-        term = self.parse_term()
-        return term if sign > 0 else -term
+        exps, num, den = self.parse_term()
+        return tuple(exps), Fraction(sign * num, den)
 
-    def parse_term(self) -> MultiPoly:
-        result = self.parse_factor()
+    def parse_term(self) -> tuple[list[int], int, int]:
+        """One term as (exponents, numerator, denominator)."""
+        exps = [0] * self.arity
+        num = self.parse_factor(exps)
+        den = 1
         while True:
             tok = self.peek()
             if tok is None:
-                return result
+                break
             kind, value, _ = tok
             if kind == "op" and value == "*":
                 self.take()
-                result = result * self.parse_factor()
+                num *= self.parse_factor(exps)
             elif kind == "op" and value == "/":
                 self.take()
                 dkind, dvalue, doffset = self.take()
                 if dkind != "num":
                     raise ParseError("expected integer denominator", doffset)
-                if int(dvalue) == 0:
+                d = int(dvalue)
+                if d == 0:
                     raise ParseError("zero denominator", doffset)
-                result = result.scale(Fraction(1, int(dvalue)))
+                den *= d
             elif kind in ("num", "name"):
-                result = result * self.parse_factor()
+                num *= self.parse_factor(exps)
             else:
-                return result
+                break
+        return exps, num, den
 
-    def parse_factor(self) -> MultiPoly:
+    def parse_factor(self, exps: list[int]) -> int:
+        """Read one factor: a variable adds to ``exps``, a number is returned
+        (1 for a variable)."""
         kind, value, offset = self.take()
         if kind == "num":
-            return MultiPoly.constant(int(value), self.arity)
+            return int(value)
         if kind == "name":
-            if value not in self.index:
+            index = self.index.get(value)
+            if index is None:
                 raise ParseError(f"unknown variable {value!r}", offset)
-            base = MultiPoly.variable(self.index[value], self.arity)
             tok = self.peek()
             if tok is not None and tok[0] == "op" and tok[1] == "^":
                 self.take()
                 ekind, evalue, eoffset = self.take()
                 if ekind != "num":
                     raise ParseError("expected integer exponent", eoffset)
-                return base ** int(evalue)
-            return base
+                exps[index] += int(evalue)
+            else:
+                exps[index] += 1
+            return 1
         raise ParseError(f"expected a number or variable, found {value!r}", offset)
 
 
 def parse_polynomial(text: str, names: Sequence[str]) -> MultiPoly:
     """Parse polynomial text over the declared variable names.
 
-    Raises ParseError with the byte offset of the offending token.
+    Raises ParseError with the byte offset of the offending token, and
+    ValueError if ``names`` repeats a name.
     """
     parser = _Parser(text, names)
     if parser.peek() is None:

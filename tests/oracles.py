@@ -2,11 +2,19 @@
 
 Everything here is written against the definitions directly: dense
 matrices, textbook row reduction, plain dict polynomials.  None of the
-engine's homology or staircase code paths are reused.
+engine's homology or staircase code paths are reused.  The reference
+parser and the reference division build every intermediate result as a
+public ``MultiPoly`` and combine them with its ring operations, so they
+share none of the in-place term collection of the engine's parser and
+division.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, product
+
+from critlocus import MultiPoly, ParseError
+from critlocus.polynomials import mono_div, mono_divides
 
 
 def dense_rank(matrix):
@@ -122,3 +130,153 @@ def standard_monomial_count_in_degree(leading_monomials, n, d):
         for mono in degree_monomials(n, d)
         if not any(all(l <= m for l, m in zip(lm, mono)) for lm in leading_monomials)
     )
+
+
+# ---------------------------------------------------------------------------
+# reference parser: every factor is a MultiPoly, terms are added one by one
+#
+#   poly   := [sign] term { sign term }
+#   term   := factor { ["*"] factor | "/" number }
+#   factor := number | name ["^" number]
+
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^]))")
+
+
+def _reference_tokens(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None or m.end() == m.start():
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(
+                f"unexpected character {stripped[0]!r}", len(text) - len(stripped)
+            )
+        if m.group(1) is not None:
+            tokens.append(("num", m.group(1), m.start(1)))
+        elif m.group(2) is not None:
+            tokens.append(("name", m.group(2), m.start(2)))
+        else:
+            tokens.append(("op", m.group(3), m.start(3)))
+        pos = m.end()
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, text, names):
+        self.text = text
+        self.tokens = _reference_tokens(text)
+        self.pos = 0
+        self.arity = len(names)
+        self.index = {n: i for i, n in enumerate(names)}
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", len(self.text))
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        result = self.parse_term_signed()
+        while True:
+            tok = self.peek()
+            if tok is None:
+                return result
+            kind, value, offset = tok
+            if kind == "op" and value in "+-":
+                self.take()
+                term = self.parse_term_signed()
+                result = result + term if value == "+" else result - term
+            else:
+                raise ParseError(f"expected '+' or '-', found {value!r}", offset)
+
+    def parse_term_signed(self):
+        sign = 1
+        while True:
+            tok = self.peek()
+            if tok is not None and tok[0] == "op" and tok[1] in "+-":
+                self.take()
+                if tok[1] == "-":
+                    sign = -sign
+            else:
+                break
+        term = self.parse_term()
+        return term if sign > 0 else -term
+
+    def parse_term(self):
+        result = self.parse_factor()
+        while True:
+            tok = self.peek()
+            if tok is None:
+                return result
+            kind, value, _ = tok
+            if kind == "op" and value == "*":
+                self.take()
+                result = result * self.parse_factor()
+            elif kind == "op" and value == "/":
+                self.take()
+                dkind, dvalue, doffset = self.take()
+                if dkind != "num":
+                    raise ParseError("expected integer denominator", doffset)
+                if int(dvalue) == 0:
+                    raise ParseError("zero denominator", doffset)
+                result = result.scale(Fraction(1, int(dvalue)))
+            elif kind in ("num", "name"):
+                result = result * self.parse_factor()
+            else:
+                return result
+
+    def parse_factor(self):
+        kind, value, offset = self.take()
+        if kind == "num":
+            return MultiPoly.constant(int(value), self.arity)
+        if kind == "name":
+            if value not in self.index:
+                raise ParseError(f"unknown variable {value!r}", offset)
+            base = MultiPoly.variable(self.index[value], self.arity)
+            tok = self.peek()
+            if tok is not None and tok[0] == "op" and tok[1] == "^":
+                self.take()
+                ekind, evalue, eoffset = self.take()
+                if ekind != "num":
+                    raise ParseError("expected integer exponent", eoffset)
+                return base ** int(evalue)
+            return base
+        raise ParseError(f"expected a number or variable, found {value!r}", offset)
+
+
+def reference_parse(text, names):
+    """Polynomial text to a MultiPoly, one MultiPoly per factor and per
+    partial sum; same grammar, errors and offsets as ``parse_polynomial``."""
+    parser = _ReferenceParser(text, names)
+    if parser.peek() is None:
+        raise ParseError("empty polynomial", 0)
+    return parser.parse()
+
+
+# ---------------------------------------------------------------------------
+# reference division
+
+
+def reference_reduce(p, divisors, order):
+    """Full remainder of p on division by (lead, generator) pairs, first
+    divisor wins; each step subtracts a whole MultiPoly product."""
+    remainder_terms = {}
+    h = p
+    while h.terms:
+        lm = h.leading_monomial(order)
+        lc = h.terms[lm]
+        for gm, g in divisors:
+            if mono_divides(gm, lm):
+                h = h - MultiPoly.monomial(mono_div(lm, gm), lc / g.terms[gm]) * g
+                break
+        else:
+            remainder_terms[lm] = lc
+            h = h - MultiPoly.monomial(lm, lc)
+    return MultiPoly(remainder_terms, p.arity)

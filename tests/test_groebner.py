@@ -19,8 +19,10 @@ from critlocus import (
     quotient_basis,
 )
 
+from critlocus.groebner import _reduce
+
 from conftest import P, random_poly
-from oracles import staircase_dimension, standard_monomial_count_in_degree
+from oracles import reference_reduce, staircase_dimension, standard_monomial_count_in_degree
 
 
 X = MultiPoly.variable(0, 2)
@@ -210,3 +212,19 @@ class TestHilbertFunction:
             top = max((sum(m) for m in qb), default=-1)
             assert len(qb) == sum(hilbert_function(gb, d) for d in range(top + 1))
             assert hilbert_function(gb, top + 1 + max(0, top)) <= len(qb)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_division_matches_reference(order):
+    """In-place division against the MultiPoly-product reference: the same
+    remainder, term for term and in the same order, on random dividends and
+    random (not Groebner, not monic) divisor lists."""
+    rng = random.Random(5)
+    for _ in range(300):
+        arity = rng.randint(1, 3)
+        p = random_poly(rng, arity, max_degree=5, terms=8)
+        gens = [random_poly(rng, arity, max_degree=3, terms=4) for _ in range(rng.randint(1, 4))]
+        divisors = [(g.leading_monomial(order), g) for g in gens if g]
+        got = _reduce(p, divisors, order)
+        want = reference_reduce(p, divisors, order)
+        assert list(got.terms.items()) == list(want.terms.items())

@@ -40,6 +40,7 @@ from .koszul import (
     cotangent_complex_at,
     de_rham_and_internal,
     default_homology_bound,
+    homology_representatives,
     koszul_differential,
     koszul_homology,
     wedge,

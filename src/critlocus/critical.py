@@ -25,7 +25,7 @@ from .koszul import (
 )
 from .linalg import PolyMatrix, invert, point_evaluator
 from .polynomials import ArityError, MultiPoly
-from .symplectic import OmegaVerification, omega_minus_one
+from .symplectic import pairing_form
 
 INFINITE = math.inf  # sentinel for a non-isolated singular locus
 
@@ -126,8 +126,8 @@ class Crit:
 
     Holds the Koszul model of f and computes each piece that the analyses
     read lazily and at most once: the strict locus, the Milnor number, the
-    Hessian, the pairing check of the shifted 2-form, the normal Hessian of
-    a splitting, and the Koszul homology at each bound.
+    Hessian, the normal Hessian of a splitting, and the Koszul homology at
+    each bound.
     """
 
     def __init__(self, f: MultiPoly):
@@ -157,12 +157,6 @@ class Crit:
     @cached_property
     def hessian(self) -> HessianData:
         return HessianData(PolyMatrix(self.complex.jacobian))
-
-    @cached_property
-    def omega(self) -> OmegaVerification:
-        # the pairing block of the shifted 2-form in coordinates is the
-        # identity; verified rather than assumed
-        return omega_minus_one(self.f.arity, self.complex)
 
     def homology(self, bound: int | None) -> HomologyReport:
         """Koszul homology at ``bound`` (None: the default bound search)."""
@@ -221,13 +215,16 @@ class Crit:
         hess = [list(map(value, row)) for row in self.complex.jacobian]
         alpha = invert(hess) if on_locus else None
         nondegenerate = on_locus and alpha is not None
+        # the pairing block of the shifted 2-form is the identity in every
+        # chart; its rank is checked rather than assumed
+        _, _, flat_invertible = pairing_form(self.f.arity)
         return CriticalPointReport(
             point=pt,
             on_locus=on_locus,
             hessian_at=tuple(tuple(row) for row in hess),
             nondegenerate=nondegenerate,
             alpha_matrix=tuple(tuple(row) for row in alpha) if nondegenerate and alpha else None,
-            omega_flat_invertible=self.omega.pairing_invertible,
+            omega_flat_invertible=flat_invertible,
         )
 
     def validate_splitting(self, s: SplittingData) -> SplittingData:

@@ -494,9 +494,10 @@ class HomologyReport:
     of the image of H_k(C^{<=d}) in H_k(C^{<=bound}), zero above the tabulated
     range.  ``sliceable``: the differential is weight-graded, so the entries
     are graded dimensions; otherwise they only filter the homology.  In finite
-    mode ``dimensions`` holds the totals and ``representatives`` one cycle per
-    dimension; ``stabilized`` certifies the totals: H_0 has the staircase
-    count of R/J and every H_k, k >= 1, is zero, as for a regular sequence.
+    mode ``dimensions`` holds the totals, and ``stabilized`` certifies them:
+    H_0 has the staircase count of R/J and every H_k, k >= 1, is zero, as for
+    a regular sequence.  ``homology_representatives`` gives one cycle per
+    dimension.
     """
 
     mode: str  # "finite" | "hilbert"
@@ -506,7 +507,6 @@ class HomologyReport:
     table: dict[int, tuple[int, ...]]
     sliceable: bool
     dimensions: dict[int, int] | None = None
-    representatives: dict[int, tuple[CdgaElement, ...]] | None = None
     stabilized: bool | None = None
 
 
@@ -606,7 +606,7 @@ def _reduce_cycles(cycles, image: EchelonAccumulator, basis, n: int, count: int)
 
 
 def _filtered_homology(
-    K: KoszulComplex, weights: tuple[int, ...], bound: int, top: int, finite: bool
+    K: KoszulComplex, weights: tuple[int, ...], bound: int, top: int, representatives: bool
 ):
     """Image of H_k(C^{<=d}) in H_k(C^{<=bound}) for d = 0..top, each k.
 
@@ -616,9 +616,9 @@ def _filtered_homology(
     down, so with smallest-index pivots the boundary rows whose lead has
     degree <= d span B ∩ C^{<=d}; the columns go in by ascending degree,
     which counts the cycles of degree <= d.  Table entries are the jumps of
-    the image, zero above top.  In finite mode the image at top gets one
-    representative per dimension, with kernel combinations for k >= 1 built
-    only where it is nonzero.
+    the image, zero above top.  With ``representatives`` the image at top gets
+    one representative per dimension, with kernel combinations for k >= 1
+    built only where it is nonzero; otherwise every list of them is empty.
     """
     n = K.arity
     images = _integer_images(K)
@@ -644,7 +644,7 @@ def _filtered_homology(
             leads[degree_of[k][p]] += 1
         image = [z - b for z, b in zip(cycles[k][: top + 1], accumulate(leads))]
         table[k] = [b - a for a, b in zip([0] + image, image)] + [0] * (bound - top)
-        if not finite or not image[top]:
+        if not representatives or not image[top]:
             continue
         # the chains of degree <= top in the order their columns go in
         order = [indexes[k][key] for d in range(top + 1) for key in slices[k][d]]
@@ -681,11 +681,11 @@ def _check_hilbert_series(K: KoszulComplex, weights: tuple[int, ...], h0_row) ->
 def koszul_homology(K: KoszulComplex, bound: int | None = None) -> HomologyReport:
     """Exact homology dimensions of (Sym T[1], contraction along g).
 
-    Finite mode (zero-dimensional ideal): totals per exterior degree k with
-    representative cycles, from the image of H(C^{<=top}) in H(C^{<=bound}),
-    top = min(bound, staircase degree).  With no bound given, the bounds from
-    ``default_homology_bound`` to ``_widest_bound`` are tried until one is
-    stabilized.  The boundaries lie in J, so an H_0 image below the staircase
+    Finite mode (zero-dimensional ideal): totals per exterior degree k, from
+    the image of H(C^{<=top}) in H(C^{<=bound}), top = min(bound, staircase
+    degree); ``homology_representatives`` gives cycles.  With no bound given,
+    the bounds from ``default_homology_bound`` to ``_widest_bound`` are tried
+    until one is stabilized.  The boundaries lie in J, so an H_0 image below the staircase
     count raises EngineError.  Otherwise hilbert mode, tabulated up to the bound.
     """
     n = K.arity
@@ -700,7 +700,7 @@ def koszul_homology(K: KoszulComplex, bound: int | None = None) -> HomologyRepor
     extra = {}
     for bound in range(first, last + 1):
         top = min(bound, K.staircase_degree) if finite else bound
-        table, reps = _filtered_homology(K, weights, bound, top, finite)
+        table, _ = _filtered_homology(K, weights, bound, top, False)
         if not finite:
             break
         if sliceable:
@@ -712,11 +712,7 @@ def koszul_homology(K: KoszulComplex, bound: int | None = None) -> HomologyRepor
                 f"H_0 image {totals[0]} up to degree {top} is below the staircase count {floor}"
             )
         stabilized = list(totals.values()) == [len(K.standard_monomials)] + [0] * n
-        extra = {
-            "dimensions": totals,
-            "representatives": {k: tuple(v) for k, v in reps.items()},
-            "stabilized": stabilized,
-        }
+        extra = {"dimensions": totals, "stabilized": stabilized}
         if stabilized:
             break
     return HomologyReport(
@@ -728,3 +724,16 @@ def koszul_homology(K: KoszulComplex, bound: int | None = None) -> HomologyRepor
         sliceable=sliceable,
         **extra,
     )
+
+
+def homology_representatives(
+    K: KoszulComplex, report: HomologyReport
+) -> dict[int, tuple[CdgaElement, ...]] | None:
+    """One cycle per dimension of each H_k of ``report = koszul_homology(K, ...)``,
+    independent modulo the boundaries; None for a hilbert-mode report.  The
+    elimination of ``report`` is rerun at its bound, with kernel combinations."""
+    if report.mode != "finite":
+        return None
+    top = min(report.bound, K.staircase_degree)
+    _, reps = _filtered_homology(K, report.weights, report.bound, top, True)
+    return {k: tuple(v) for k, v in reps.items()}

@@ -124,21 +124,6 @@ def rank(rows: Matrix) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: Matrix, ncols: int) -> list[list[Fraction]]:
-    """Basis of the kernel of the matrix (rows act on column vectors)."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
-        basis.append(v)
-    return basis
-
-
 def invert(matrix: Matrix) -> Matrix | None:
     """Exact inverse, or None if the matrix is singular."""
     n = len(matrix)
@@ -149,17 +134,6 @@ def invert(matrix: Matrix) -> Matrix | None:
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in reduced[:n]]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return [
-        [sum((ra[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
-        for ra in a
-    ]
 
 
 class EchelonAccumulator:
@@ -274,16 +248,6 @@ class PolyMatrix:
 
     def entry(self, i: int, j: int) -> MultiPoly:
         return self.entries[i][j]
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(tuple(zip(*self.entries)))
-
-    def is_symmetric(self) -> bool:
-        return self.nrows == self.ncols and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
 
     def evaluate(self, point: Sequence) -> Matrix:
         """Every entry at the point, by one ``point_evaluator``."""

@@ -395,6 +395,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _number(digits: str, offset: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ParseError(f"number of {len(digits)} digits is too long", offset) from None
+
+
 class _Parser:
     """Recursive descent over the tokens.  Each term is read as an exponent
     list and an integer fraction; the terms collect into one dict, and the
@@ -465,7 +472,7 @@ class _Parser:
                 dkind, dvalue, doffset = self.take()
                 if dkind != "num":
                     raise ParseError("expected integer denominator", doffset)
-                d = int(dvalue)
+                d = _number(dvalue, doffset)
                 if d == 0:
                     raise ParseError("zero denominator", doffset)
                 den *= d
@@ -480,7 +487,7 @@ class _Parser:
         (1 for a variable)."""
         kind, value, offset = self.take()
         if kind == "num":
-            return int(value)
+            return _number(value, offset)
         if kind == "name":
             index = self.index.get(value)
             if index is None:
@@ -491,7 +498,7 @@ class _Parser:
                 ekind, evalue, eoffset = self.take()
                 if ekind != "num":
                     raise ParseError("expected integer exponent", eoffset)
-                exps[index] += int(evalue)
+                exps[index] += _number(evalue, eoffset)
             else:
                 exps[index] += 1
             return 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .koszul import (
     CdgaElement,
@@ -139,19 +140,27 @@ def pullback_tautological(alpha: OneForm) -> PullbackRecord:
     return PullbackRecord(pulled_back=pulled, matches_input=matches)
 
 
-def omega_minus_one(arity: int, K: KoszulComplex) -> OmegaVerification:
-    """Build the pairing 2-form and run its verification record."""
-    if K.arity != arity:
-        raise ArityError("complex arity does not match")
+@cache  # a function of the arity alone
+def pairing_form(arity: int) -> tuple[FormElement, tuple[tuple[Fraction, ...], ...], bool]:
+    """omega = sum dxi_i ^ dx_i, its dxi/dx pairing block in coordinates, and
+    whether that block is invertible (omega is non-degenerate)."""
     omega = FormElement({((i,), (i,)): CdgaElement.unit(arity) for i in range(arity)}, arity)
-    d_lam, _ = de_rham_and_internal(tautological_one_form(arity), K)
-    d_omega, delta_omega = de_rham_and_internal(omega, K)
 
     def entry(i: int, j: int) -> Fraction:
         coeff = omega.terms.get(((i,), (j,)), CdgaElement.zero(arity))
         return coeff.terms.get((), MultiPoly.zero(arity)).constant_value()
 
     pairing = tuple(tuple(entry(i, j) for j in range(arity)) for i in range(arity))
+    return omega, pairing, rank([list(row) for row in pairing]) == arity
+
+
+def omega_minus_one(arity: int, K: KoszulComplex) -> OmegaVerification:
+    """Build the pairing 2-form and run its verification record."""
+    if K.arity != arity:
+        raise ArityError("complex arity does not match")
+    omega, pairing, invertible = pairing_form(arity)
+    d_lam, _ = de_rham_and_internal(tautological_one_form(arity), K)
+    d_omega, delta_omega = de_rham_and_internal(omega, K)
     return OmegaVerification(
         omega=omega,
         is_differential_of_tautological=(d_lam == omega),
@@ -159,5 +168,5 @@ def omega_minus_one(arity: int, K: KoszulComplex) -> OmegaVerification:
         internal_closed=delta_omega.is_zero(),
         internal_residue=None if delta_omega.is_zero() else delta_omega,
         pairing_matrix=pairing,
-        pairing_invertible=rank([list(row) for row in pairing]) == arity,
+        pairing_invertible=invertible,
     )

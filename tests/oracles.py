@@ -13,17 +13,19 @@ import re
 from fractions import Fraction
 from itertools import combinations, product
 
-from critlocus import MultiPoly, ParseError
+from critlocus import MultiPoly, ParseError, PolyMatrix
 from critlocus.polynomials import mono_div, mono_divides
 
 
-def dense_rank(matrix):
-    """Textbook Gaussian elimination over the rationals."""
+def dense_rref(matrix):
+    """Textbook Gauss-Jordan elimination over the rationals: the nonzero
+    rows of the reduced row echelon form, and their pivot columns."""
     m = [list(map(Fraction, row)) for row in matrix]
-    rank = 0
+    pivots = []
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     for col in range(ncols):
+        rank = len(pivots)
         pivot = None
         for r in range(rank, nrows):
             if m[r][col] != 0:
@@ -38,8 +40,49 @@ def dense_rank(matrix):
             if r != rank and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return m[: len(pivots)], pivots
+
+
+def dense_rank(matrix):
+    return len(dense_rref(matrix)[1])
+
+
+def nullspace(rows, ncols):
+    """Basis of the kernel of the matrix (rows act on column vectors)."""
+    reduced, pivots = dense_rref(rows)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][free]
+        basis.append(v)
+    return basis
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    return [
+        [sum((ra[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for ra in a
+    ]
+
+
+def transpose(matrix):
+    """The transpose of a PolyMatrix."""
+    return PolyMatrix(tuple(zip(*matrix.entries)))
+
+
+def is_symmetric(matrix):
+    """A PolyMatrix equal to its transpose, entry by entry."""
+    e = matrix.entries
+    return all(len(row) == len(e) for row in e) and all(
+        e[i][j] == e[j][i] for i in range(len(e)) for j in range(i + 1, len(e))
+    )
 
 
 def degree_monomials(n, d):

@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from critlocus import cli, critical, koszul
+from critlocus import cli, critical, koszul, symplectic
 from critlocus.cli import (
     AnalysisRequest,
     InputError,
@@ -16,6 +17,7 @@ from critlocus.cli import (
     request_from_echo,
     run,
 )
+from critlocus.linalg import KernelTracker
 
 
 def req(command, variables, **kwargs):
@@ -266,7 +268,8 @@ class TestOptionValues:
 
 class TestComputeOnce:
     """One request builds one Crit(f): one Groebner basis of the Jacobian
-    ideal, one homology per bound, one pairing check of the 2-form."""
+    ideal and one homology per bound.  It computes only what its report
+    reads: no 2-form record outside ``oneform``, no representatives."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -285,8 +288,11 @@ class TestComputeOnce:
             (koszul, "buchberger"),
             (critical, "koszul_homology"),
             (cli, "koszul_homology"),
-            (critical, "omega_minus_one"),
+            (symplectic, "omega_minus_one"),
             (cli, "omega_minus_one"),
+            (symplectic, "de_rham_and_internal"),
+            (koszul, "_reduce_cycles"),
+            (KernelTracker, "insert"),
         ):
             count(module, name)
         return counts
@@ -295,17 +301,31 @@ class TestComputeOnce:
         run(req("analyze", ["x", "y"], functional="x^2+y^2", points=("0,0",)))
         assert calls["buchberger"] == 1
         assert calls["koszul_homology"] == 1
-        assert calls["omega_minus_one"] == 1
+        assert calls["omega_minus_one"] == 0
+        assert calls["de_rham_and_internal"] == 0
 
     def test_point_with_three_points(self, calls):
         run(req("point", ["x", "y"], functional="x^3+y^3", points=("0,0", "1,1", "1/2,0")))
         assert calls["buchberger"] == 1
-        assert calls["omega_minus_one"] == 1
+        assert calls["omega_minus_one"] == 0
+        assert calls["de_rham_and_internal"] == 0
 
     def test_family(self, calls):
         run(req("family", ["x", "y"], functional="x^2*y", tangent=("y",), bound=8))
         assert calls["buchberger"] == 1
         assert calls["koszul_homology"] == 1
+        assert calls["de_rham_and_internal"] == 0
+
+    def test_oneform(self, calls):
+        run(req("oneform", ["x", "y"], one_form="y;x"))
+        assert calls["omega_minus_one"] == 1
+
+    def test_analyze_builds_no_representatives(self, calls):
+        report = run(req("analyze", ["x", "y"], functional="x^3+y^3"))
+        assert report.data["homology"]["dimensions"]["0"] == 4
+        assert calls["koszul_homology"] == 1
+        assert calls["_reduce_cycles"] == 0
+        assert calls["insert"] == 0
 
 
 class TestOptionsCheckedFirst:
@@ -397,6 +417,31 @@ class TestParentheses:
         assert main(["analyze", "--vars", "x,y", "--f", text]) == 2
         err = capsys.readouterr().err
         assert f"at byte {offset}: unexpected character {char!r}" in err
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter converts integer strings of any length",
+)
+class TestLongNumbers:
+    """A number longer than the interpreter converts is a parse error at its
+    byte, for a functional and for a 1-form component.  (A long exponent is
+    refused the same way, but an interpreter without the digit limit would
+    read it and then enumerate its staircase.)"""
+
+    DIGITS = "9" * 5000
+
+    @pytest.mark.parametrize(
+        "text, offset", [(DIGITS + "*x", 0), ("x/" + DIGITS, 2)], ids=["coefficient", "denominator"]
+    )
+    @pytest.mark.parametrize("option", ["--f", "--alpha"])
+    def test_exit_2_with_offset(self, text, offset, option, capsys):
+        command = "oneform" if option == "--alpha" else "analyze"
+        assert main([command, "--vars", "x", option, text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot parse ")
+        assert f"at byte {offset}: number of 5000 digits is too long" in captured.err
 
 
 class TestParserReuse:

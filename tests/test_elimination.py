@@ -14,15 +14,12 @@ from hypothesis import given, settings, strategies as st
 from critlocus.linalg import (
     EchelonAccumulator,
     KernelTracker,
-    identity,
     invert,
-    mat_mul,
-    nullspace,
     rank,
     rref,
 )
 
-from oracles import dense_rank
+from oracles import dense_rank, identity, mat_mul, nullspace
 
 NROWS = 5
 

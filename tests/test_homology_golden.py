@@ -2,7 +2,8 @@
 
 The CLI prints dimensions but never the representative cycles, so these
 reports are compared in full: mode, table, dimensions, stabilized,
-sliceable and every representative's exact coefficients.
+sliceable and the exact coefficients of every representative that
+``homology_representatives`` gives.
 
     PYTHONPATH=src python tests/test_homology_golden.py
 
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from critlocus import KoszulComplex, koszul_homology, parse_polynomial
+from critlocus import KoszulComplex, homology_representatives, koszul_homology, parse_polynomial
 
 GOLDEN = Path(__file__).parent / "golden" / "homology.json"
 
@@ -54,8 +55,9 @@ def _element(element) -> list:
 
 
 def report_data(variables: str, text: str, bound) -> dict:
-    report = koszul_homology(complex_of(variables, text), bound)
-    reps = report.representatives
+    K = complex_of(variables, text)
+    report = koszul_homology(K, bound)
+    reps = homology_representatives(K, report)
     return {
         "input": [variables, text, bound],
         "mode": report.mode,

@@ -17,6 +17,7 @@ from critlocus import (
     cotangent_complex_at,
     de_rham_and_internal,
     default_homology_bound,
+    homology_representatives,
     koszul_differential,
     koszul_homology,
     parse_polynomial,
@@ -285,10 +286,17 @@ class TestHomology:
         K = crit(x**3)  # g = 3x^2, finite with mu = 2
         rep = koszul_homology(K)
         assert rep.dimensions == {0: 2, 1: 0}
-        reps = rep.representatives[0]
+        reps = homology_representatives(K, rep)[0]
         assert len(reps) == 2
         for r in reps:
             assert koszul_differential(K, r).is_zero()
+
+    def test_no_representatives_in_hilbert_mode(self):
+        x, y = variables(2)
+        K = crit(x**2 * y)
+        rep = koszul_homology(K, 6)
+        assert rep.mode == "hilbert"
+        assert homology_representatives(K, rep) is None
 
     @pytest.mark.parametrize(
         "build, bound, dimensions, stabilized",
@@ -305,7 +313,7 @@ class TestHomology:
         assert not rep.sliceable
         assert rep.mode == "finite"
         assert rep.dimensions == dimensions and rep.stabilized == stabilized
-        for k, reps in rep.representatives.items():
+        for k, reps in homology_representatives(K, rep).items():
             assert len(reps) == dimensions[k]
             for r in reps:
                 assert koszul_differential(K, r).is_zero()
@@ -378,12 +386,13 @@ class TestRepresentativesModuloBoundaries:
         K = crit(sheared(n, degree, shear))
         rep = koszul_homology(K)
         assert rep.mode == "finite" and rep.sliceable
+        representatives = homology_representatives(K, rep)
         for k in range(n + 1):
-            assert len(rep.representatives[k]) == rep.dimensions[k]
+            assert len(representatives[k]) == rep.dimensions[k]
         gs_terms = [dict(g.terms) for g in K.diff_images]
         weights = K.weights()
         by_degree = {}
-        for r in rep.representatives[0]:
+        for r in representatives[0]:
             poly = r.terms[()]
             assert poly.is_homogeneous()
             by_degree.setdefault(poly.total_degree(), []).append(poly)
@@ -431,7 +440,7 @@ class TestGradedDefaultBound:
             assert rep.dimensions == {k: mu if k == 0 else 0 for k in range(n + 1)}
             wide = koszul_homology(K, 2 * n * degree)
             assert wide.dimensions == rep.dimensions and wide.stabilized
-            assert wide.representatives == rep.representatives
+            assert homology_representatives(K, wide) == homology_representatives(K, rep)
 
     def test_unit_ideal_and_hilbert_mode(self):
         x, y = variables(2)
@@ -489,7 +498,8 @@ class TestImageHomology:
         rep = koszul_homology(K)
         assert not rep.sliceable and rep.stabilized
         assert rep.dimensions == {k: mu if k == 0 else 0 for k in range(K.arity + 1)}
-        assert [len(rep.representatives[k]) for k in range(K.arity + 1)] == [mu] + [0] * K.arity
+        reps = homology_representatives(K, rep)
+        assert [len(reps[k]) for k in range(K.arity + 1)] == [mu] + [0] * K.arity
 
     def test_explicit_bounds_certify_only_a_complete_image(self):
         K = complex_of("x,y,z,w", "x^3+y^3+z^3+w^3+x*y*z*w")

@@ -13,6 +13,7 @@ import argparse
 from critlocus import (
     MultiPoly,
     SplittingData,
+    build_crit,
     normal_hessian,
     phi_comparison,
     validate_splitting,
@@ -48,9 +49,10 @@ def main():
 
     print(f"{'functional':34} {'Q nondeg':>9} {'comparison':>11} {'agree':>6}")
     for f, tangent, n, label in rows:
-        split = validate_splitting(f, SplittingData.from_tangent(tangent, n))
-        _, nondeg = normal_hessian(f, split)
-        rep = phi_comparison(f, split, args.bound)
+        crit = build_crit(f)
+        split = validate_splitting(crit, SplittingData.from_tangent(tangent, n))
+        _, nondeg = normal_hessian(crit, split)
+        rep = phi_comparison(crit, split, args.bound)
         agree = (rep.verdict == "equal") == nondeg
         print(f"{label:34} {str(nondeg):>9} {rep.verdict:>11} {str(agree):>6}")
         assert agree, "equivalence criterion violated"

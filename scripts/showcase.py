@@ -11,7 +11,6 @@ from critlocus import (
     OneForm,
     SplittingData,
     build_crit,
-    koszul_homology,
     lambda_equivalence_verdict,
     milnor_number,
     normal_hessian,
@@ -31,14 +30,15 @@ def poly(text, names):
 
 def show_critical(label, text, names, points=(), bound=None):
     f = poly(text, names)
-    K, locus = build_crit(f)
-    mu = milnor_number(f)
-    verdict = lambda_equivalence_verdict(f, bound)
+    crit = build_crit(f)
+    locus = crit.locus
+    mu = milnor_number(crit)
+    verdict = lambda_equivalence_verdict(crit, bound)
     print(f"== {label}: f = {text} on ({', '.join(names)})")
     print(f"   strict locus: dimension {locus.dimension}, "
           f"mu = {'infinite' if mu == INFINITE else mu}")
     print(f"   regular sequence: {verdict.regular}  [{verdict.criterion}]")
-    rep = koszul_homology(K, bound)
+    rep = crit.homology(bound)
     if rep.mode == "finite":
         dims = ", ".join(f"H{k} = {rep.dimensions[k]}" for k in sorted(rep.dimensions))
         print(f"   homology (finite): {dims}")
@@ -47,7 +47,7 @@ def show_critical(label, text, names, points=(), bound=None):
             if any(rep.table[k]):
                 print(f"   graded dims H{k}: {list(rep.table[k])}")
     for pt in points:
-        r = point_report(f, pt)
+        r = point_report(crit, pt)
         if r.nondegenerate:
             alpha = [[str(c) for c in row] for row in r.alpha_matrix]
             print(f"   point {pt}: nondegenerate, inverse-Hessian map {alpha}")
@@ -60,9 +60,12 @@ def show_critical(label, text, names, points=(), bound=None):
 def show_family(label, text, names, tangent, bound=8):
     f = poly(text, names)
     index = {n: i for i, n in enumerate(names)}
-    split = validate_splitting(f, SplittingData.from_tangent([index[t] for t in tangent], len(names)))
-    q, nondeg = normal_hessian(f, split)
-    rep = phi_comparison(f, split, bound)
+    crit = build_crit(f)
+    split = validate_splitting(
+        crit, SplittingData.from_tangent([index[t] for t in tangent], len(names))
+    )
+    q, nondeg = normal_hessian(crit, split)
+    rep = phi_comparison(crit, split, bound)
     print(f"== {label}: f = {text}, tangent {{{', '.join(tangent)}}}")
     q_str = [[q.entry(i, j).to_string(names) for j in range(q.ncols)] for i in range(q.nrows)]
     print(f"   normal Hessian block: {q_str}  nondegenerate: {nondeg}")
@@ -79,8 +82,6 @@ def show_one_form(label, components, names):
     print(f"== {label}: alpha = ({'; '.join(components)})")
     print(f"   closed: {result.closed}, Lagrangian section: {result.lagrangian_flag}")
     print(f"   pairing-form internal differential vanishes: {record.internal_closed}")
-    if record.internal_residue is not None:
-        print(f"   residue: {record.internal_residue!r}")
     print()
 
 

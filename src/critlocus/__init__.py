@@ -36,8 +36,6 @@ from .koszul import (
     FormElement,
     HomologyReport,
     KoszulComplex,
-    PointNotOnLocus,
-    cotangent_complex_at,
     de_rham_and_internal,
     default_homology_bound,
     homology_representatives,
@@ -59,7 +57,6 @@ from .critical import (
     build_crit,
     fat_point_signal,
     hessian,
-    hessian_at,
     lambda_equivalence_verdict,
     milnor_number,
     normal_hessian,
@@ -70,11 +67,8 @@ from .critical import (
 from .symplectic import (
     OmegaVerification,
     OneForm,
-    PullbackRecord,
     ZeroLocusResult,
     omega_minus_one,
     one_form_closed,
-    pullback_tautological,
-    tautological_one_form,
     zero_locus_one_form,
 )

@@ -18,7 +18,21 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
-from .critical import INFINITE, Crit, EngineError, SplittingData, SplittingError, fat_point_signal
+from .critical import (
+    INFINITE,
+    Crit,
+    EngineError,
+    SplittingData,
+    SplittingError,
+    build_crit,
+    fat_point_signal,
+    lambda_equivalence_verdict,
+    milnor_number,
+    normal_hessian,
+    phi_comparison,
+    point_report,
+    validate_splitting,
+)
 from .groebner import krull_dimension
 from .koszul import BoundTooSmall, koszul_homology
 from .polynomials import ArityError, GREVLEX, MultiPoly, ParseError, parse_polynomial
@@ -89,20 +103,6 @@ def _scalar(v) -> str:
     return str(v)
 
 
-def request_from_echo(echo: dict) -> AnalysisRequest:
-    """Rebuild the request from a report's echoed input section."""
-    return AnalysisRequest(
-        command=echo["command"],
-        variables=tuple(echo["variables"]),
-        functional=echo["functional"],
-        one_form=echo["one_form"],
-        points=tuple(echo["points"]),
-        tangent=tuple(echo["tangent"]) if echo["tangent"] is not None else None,
-        bound=echo["bound"],
-        output_format=echo["format"],
-    )
-
-
 def _echo(request: AnalysisRequest) -> dict:
     return {
         "command": request.command,
@@ -116,8 +116,19 @@ def _echo(request: AnalysisRequest) -> dict:
     }
 
 
+def _too_long() -> InputError:
+    """The refusal of a report value whose str() passes the interpreter's
+    integer digit limit; that str() raises a plain ValueError."""
+    return InputError(
+        f"report value is too long: more than {sys.get_int_max_str_digits()} digits"
+    )
+
+
 def _frac(x: Fraction) -> str:
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:
+        raise _too_long() from None
 
 
 def _parse_point(text: str, arity: int) -> tuple[Fraction, ...]:
@@ -151,11 +162,16 @@ def _parse_functional(request: AnalysisRequest, names: list[str]) -> MultiPoly:
 
 
 def _poly_str(p: MultiPoly, names: Sequence[str]) -> str:
-    return p.to_string(names, GREVLEX)
+    try:
+        return p.to_string(names, GREVLEX)
+    except ArityError:
+        raise
+    except ValueError:
+        raise _too_long() from None
 
 
-def _strict_locus_section(crit: Crit, names) -> dict:
-    locus, mu = crit.locus, crit.milnor
+def _strict_locus_section(crit: Crit, mu: int | float, names) -> dict:
+    locus = crit.locus
     return {
         "groebner_basis": [_poly_str(g, names) for g in locus.jacobian_basis.generators],
         "monomial_order": locus.jacobian_basis.order.kind,
@@ -192,7 +208,7 @@ def _point_section(crit: Crit, pts) -> tuple[list[dict], int]:
     reports = []
     on_locus = set()
     for pt in pts:
-        r = crit.point_report(pt)
+        r = point_report(crit, pt)
         if r.on_locus:
             on_locus.add(r.point)
         reports.append(
@@ -239,6 +255,11 @@ def _oneform(request: AnalysisRequest, names: list[str], data: dict) -> bool:
     result = zero_locus_one_form(OneForm(tuple(comps)))
     K = result.complex
     record = omega_minus_one(len(names), K)
+    if result.closed != record.internal_closed:
+        raise EngineError(
+            f"the curl (closed: {result.closed}) and the internal differential of the "
+            f"pairing form (vanishes: {record.internal_closed}) disagree"
+        )
     dim = krull_dimension(K.basis)
     hsection, inconclusive = _homology_section(lambda b: koszul_homology(K, b), request.bound)
     data["one_form"] = {
@@ -257,7 +278,7 @@ def _oneform(request: AnalysisRequest, names: list[str], data: dict) -> bool:
 def _analyze(crit: Crit, bound: int | None, data: dict) -> bool:
     inconclusive = False
     try:
-        data["lambda_equivalence"] = _lambda_section(crit.lambda_verdict(bound))
+        data["lambda_equivalence"] = _lambda_section(lambda_equivalence_verdict(crit, bound))
     except BoundTooSmall as exc:
         data["lambda_equivalence"] = _bound_error(exc)
         inconclusive = True
@@ -279,11 +300,11 @@ def _splitting(request: AnalysisRequest, names: list[str]) -> SplittingData:
 
 def _family(crit: Crit, split: SplittingData, bound: int | None, names, data: dict) -> bool:
     try:
-        split = crit.validate_splitting(split)
+        split = validate_splitting(crit, split)
     except SplittingError as exc:
         raise InputError(str(exc)) from None
-    q_matrix, nondeg = crit.normal_hessian(split)
-    phi = crit.phi_comparison(split, bound)
+    q_matrix, nondeg = normal_hessian(crit, split)
+    phi = phi_comparison(crit, split, bound)
     data["family"] = {
         "tangent_variables": [names[i] for i in split.tangent_vars],
         "normal_variables": [names[i] for i in split.normal_vars],
@@ -324,13 +345,12 @@ def run(request: AnalysisRequest) -> AnalysisReport:
     if request.command == "point" and not pts:
         raise InputError("subcommand 'point' requires at least one --point")
     split = _splitting(request, names) if request.command == "family" else None
-    crit = Crit(f)
-    data["strict_locus"] = _strict_locus_section(crit, names)
+    crit = build_crit(f)
+    mu = milnor_number(crit)
+    data["strict_locus"] = _strict_locus_section(crit, mu, names)
     if pts:
         data["points"], distinct_on_locus = _point_section(crit, pts)
-        data["strict_locus"]["fat_point_signal"] = fat_point_signal(
-            crit.milnor, distinct_on_locus
-        )
+        data["strict_locus"]["fat_point_signal"] = fat_point_signal(mu, distinct_on_locus)
     inconclusive = False
     if request.command == "analyze":
         inconclusive = _analyze(crit, request.bound, data)

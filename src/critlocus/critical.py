@@ -1,17 +1,17 @@
 """Derived-critical-locus analyses.
 
-Builds the Koszul model of Crit(f) from the Jacobian ideal, decides the
-regular-sequence equivalence with the strict locus, computes Milnor
-numbers, Hessian data at rational points, validates coordinate splittings
-of a smooth critical family, and runs the T*[-1]S comparison whose
-success is equivalent to non-degeneracy of the normal Hessian block.
+``build_crit`` builds the Koszul model of Crit(f) from the Jacobian ideal,
+with its strict locus.  Each analysis is one function of that ``Crit``: it
+decides the regular-sequence equivalence with the strict locus, computes
+the Milnor number, Hessian data at rational points, validates coordinate
+splittings of a smooth critical family, and runs the T*[-1]S comparison
+whose success is equivalent to non-degeneracy of the normal Hessian block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -121,242 +121,115 @@ def _restrict(p: MultiPoly, s: SplittingData) -> MultiPoly:
     return MultiPoly._trusted(kept, p.arity)
 
 
+@dataclass(eq=False)
 class Crit:
-    """The derived critical locus Crit(f) of one functional.
+    """The derived critical locus Crit(f) of one functional, as ``build_crit``
+    builds it: f, its Koszul model and its strict locus.
 
-    Holds the Koszul model of f and computes each piece that the analyses
-    read lazily and at most once: the strict locus, the Milnor number, the
-    Hessian, the normal Hessian of a splitting, and the Koszul homology at
-    each bound.
+    The analyses are the module functions that take a ``Crit``.  Its memo
+    holds what they compute at most once: the Koszul homology at each bound
+    and the normal Hessian of each splitting.
     """
 
-    def __init__(self, f: MultiPoly):
-        self.f = f
-        self.complex = KoszulComplex(
-            f.arity, tuple(f.partial(i) for i in range(f.arity)), "critical_locus"
-        )
-        self._memo: dict[tuple, object] = {}
+    f: MultiPoly
+    complex: KoszulComplex
+    locus: StrictLocus
+    _memo: dict = field(default_factory=dict, repr=False)
 
     def _once(self, key: tuple, compute):
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
 
-    @cached_property
-    def locus(self) -> StrictLocus:
-        gb = self.complex.basis
-        return StrictLocus(gb, krull_dimension(gb), is_zero_dimensional(gb))
-
-    @cached_property
-    def milnor(self) -> int | float:
-        """Dimension of the Jacobian quotient ring; INFINITE when not isolated."""
-        if not self.locus.zero_dimensional:
-            return INFINITE
-        return len(self.complex.standard_monomials)
-
-    @cached_property
-    def hessian(self) -> HessianData:
-        return HessianData(PolyMatrix(self.complex.jacobian))
-
     def homology(self, bound: int | None) -> HomologyReport:
         """Koszul homology at ``bound`` (None: the default bound search)."""
         return self._once(("homology", bound), lambda: koszul_homology(self.complex, bound))
 
-    def lambda_verdict(self, bound: int | None) -> LambdaVerdict:
-        """Decide whether the partials form a regular sequence.
 
-        Height criterion: over a polynomial ring the n partials are regular
-        iff the Jacobian quotient is zero-dimensional (the unit ideal counts:
-        both loci are then empty).  Koszul homology in degrees k >= 1 is an
-        independent cross-check.  A graded complex's homology is exact, so a
-        disagreement raises EngineError; an ungraded image only bounds the
-        homology from above, so there it leaves the cross-check inconclusive.
-        """
-        locus = self.locus
-        regular = locus.zero_dimensional
-        if locus.dimension is None:
-            criterion = "unit Jacobian ideal: strict and derived loci are both empty"
-        elif regular:
-            criterion = "Jacobian quotient has dimension 0 (height n over a Cohen-Macaulay ring)"
-        else:
-            criterion = f"Jacobian quotient has dimension {locus.dimension} > 0"
-        report = self.homology(bound)
-        positive = {
-            k: (report.dimensions[k] if report.mode == "finite" else sum(report.table[k]))
-            for k in range(1, self.f.arity + 1)
-        }
-        any_positive = any(v != 0 for v in positive.values())
-        if regular and any_positive and report.sliceable:
-            raise EngineError(
-                "height criterion says regular sequence but positive-degree homology is nonzero"
-            )
-        cross = "confirms" if regular != any_positive else "inconclusive within bound"
-        return LambdaVerdict(
-            regular=regular,
-            criterion=criterion,
-            dimension=locus.dimension,
-            positive_degree_dimensions=positive,
-            homology_bound=report.bound,
-            cross_check=cross,
-        )
-
-    def point_report(self, point: Sequence) -> CriticalPointReport:
-        """Local analysis at a rational point: Hessian, inverse-Hessian map.
-
-        At a non-degenerate critical point the non-degeneracy map of the
-        Lagrangian fibration is the inverse Hessian; off the strict locus no
-        such map is reported.
-        """
-        pt = tuple(Fraction(x) for x in point)
-        if len(pt) != self.f.arity:
-            raise ArityError("point arity mismatch")
-        value = point_evaluator(pt)  # one evaluator: the point's powers are shared
-        on_locus = not any(map(value, self.complex.diff_images))
-        hess = [list(map(value, row)) for row in self.complex.jacobian]
-        alpha = invert(hess) if on_locus else None
-        nondegenerate = on_locus and alpha is not None
-        # the pairing block of the shifted 2-form is the identity in every
-        # chart; its rank is checked rather than assumed
-        _, _, flat_invertible = pairing_form(self.f.arity)
-        return CriticalPointReport(
-            point=pt,
-            on_locus=on_locus,
-            hessian_at=tuple(tuple(row) for row in hess),
-            nondegenerate=nondegenerate,
-            alpha_matrix=tuple(tuple(row) for row in alpha) if nondegenerate and alpha else None,
-            omega_flat_invertible=flat_invertible,
-        )
-
-    def validate_splitting(self, s: SplittingData) -> SplittingData:
-        """Check that the coordinate subspace S0 = {x_j = 0, j normal} realizes
-        the strict critical locus and is Q-orthogonal to the normal directions.
-
-        Every partial of f must lie in the ideal of S0 (so S0 is contained in
-        the strict locus), and the two loci must have the same dimension.
-        Q-orthogonality then needs no check of its own: f is a constant plus
-        an element of (x_N)^2, so every Hessian entry in a tangent row
-        vanishes on S0.
-        """
-        n = self.f.arity
-        if set(s.tangent_vars) | set(s.normal_vars) != set(range(n)) or set(
-            s.tangent_vars
-        ) & set(s.normal_vars):
-            raise ValueError("tangent and normal variables must partition the coordinates")
-        for i, g in enumerate(self.complex.diff_images):
-            if not _restrict(g, s).is_zero():
-                raise SplittingError(
-                    "not_tangent",
-                    "splitting not tangent to critical locus: partial derivative "
-                    f"{i} of the functional does not vanish modulo the subspace ideal",
-                )
-        locus_dim = self.locus.dimension
-        expected = len(s.tangent_vars)
-        if locus_dim != expected:
-            raise SplittingError(
-                "not_tangent",
-                "splitting not tangent to critical locus: the strict locus has "
-                f"dimension {locus_dim}, the coordinate subspace has dimension {expected}",
-            )
-        return SplittingData(s.tangent_vars, s.normal_vars, validated=True)
-
-    def normal_hessian(self, s: SplittingData) -> tuple[PolyMatrix, bool]:
-        """Normal-normal Hessian block over the family ring Q[x_T], with the
-        non-degeneracy verdict (its determinant is a unit: a nonzero constant)."""
-        if not s.validated:
-            raise ValueError("splitting has not been validated")
-        return self._once(("normal_hessian", s.normal_vars), lambda: self._normal_block(s))
-
-    def _normal_block(self, s: SplittingData) -> tuple[PolyMatrix, bool]:
-        hess = self.hessian.matrix
-        block = PolyMatrix(
-            tuple(
-                tuple(_restrict(hess.entry(i, j), s) for j in s.normal_vars)
-                for i in s.normal_vars
-            )
-        )
-        # an empty block has arity 0, so its determinant is taken by hand
-        det = block.det() if s.normal_vars else MultiPoly.one(self.f.arity)
-        return block, det.is_constant() and not det.is_zero()
-
-    def phi_comparison(self, s: SplittingData, bound: int | None) -> PhiComparisonReport:
-        """Compare Crit(f) homology against the shifted cotangent model of the
-        family: graded dimensions C(|T|, k) * hilbert(O_S, d), with the wedge
-        generators placed at polynomial degree 0; O_S is Q[x_T].
-
-        Within the bound, equality of the tables is equivalent to the normal
-        Hessian block being non-degenerate; the report carries both sides so
-        the biconditional can be asserted.
-        """
-        if not s.validated:
-            raise ValueError("splitting has not been validated")
-        n = self.f.arity
-        _, nondeg = self.normal_hessian(s)
-        try:
-            report = self.homology(bound)
-        except BoundTooSmall:
-            return PhiComparisonReport(
-                bound=bound,
-                crit_table={},
-                model_table={},
-                verdict="inconclusive",
-                normal_hessian_nondegenerate=nondeg,
-                mismatches=(),
-            )
-        bound, t = report.bound, len(s.tangent_vars)
-        # monomials of degree d in the t tangent variables
-        hilbert = [math.comb(d + t - 1, d) if t else int(d == 0) for d in range(bound + 1)]
-        model = {k: tuple(math.comb(t, k) * h for h in hilbert) for k in range(n + 1)}
-        crit_table = report.table
-        mismatches = tuple(
-            (k, d, crit_table[k][d], model[k][d])
-            for k in range(n + 1)
-            for d in range(bound + 1)
-            if crit_table[k][d] != model[k][d]
-        )
-        if not report.sliceable:
-            verdict = "inconclusive"
-        else:
-            verdict = "equal" if not mismatches else "unequal"
-        return PhiComparisonReport(
-            bound=bound,
-            crit_table=crit_table,
-            model_table=model,
-            verdict=verdict,
-            normal_hessian_nondegenerate=nondeg,
-            mismatches=mismatches,
-        )
+def build_crit(f: MultiPoly) -> Crit:
+    """Koszul model of the derived critical locus of f and its strict locus."""
+    K = KoszulComplex(f.arity, tuple(f.partial(i) for i in range(f.arity)), "critical_locus")
+    gb = K.basis
+    return Crit(f, K, StrictLocus(gb, krull_dimension(gb), is_zero_dimensional(gb)))
 
 
-def build_crit(f: MultiPoly) -> tuple[KoszulComplex, StrictLocus]:
-    """Koszul model of the derived critical locus and its strict locus."""
-    crit = Crit(f)
-    return crit.complex, crit.locus
-
-
-def milnor_number(f: MultiPoly) -> int | float:
+def milnor_number(crit: Crit) -> int | float:
     """Dimension of the Jacobian quotient ring; INFINITE when not isolated."""
-    return Crit(f).milnor
+    if not crit.locus.zero_dimensional:
+        return INFINITE
+    return len(crit.complex.standard_monomials)
 
 
-def lambda_equivalence_verdict(f: MultiPoly, bound: int | None = None) -> LambdaVerdict:
-    """Regular-sequence verdict of the partials of f; see Crit.lambda_verdict."""
-    return Crit(f).lambda_verdict(bound)
+def hessian(crit: Crit) -> HessianData:
+    """Second partials of f: the Jacobian of the partials, cached on the complex."""
+    return HessianData(PolyMatrix(crit.complex.jacobian))
 
 
-def hessian(f: MultiPoly) -> HessianData:
-    """Second partials of f; see Crit.hessian."""
-    return Crit(f).hessian
+def lambda_equivalence_verdict(crit: Crit, bound: int | None = None) -> LambdaVerdict:
+    """Decide whether the partials form a regular sequence.
+
+    Height criterion: over a polynomial ring the n partials are regular
+    iff the Jacobian quotient is zero-dimensional (the unit ideal counts:
+    both loci are then empty).  Koszul homology in degrees k >= 1 is an
+    independent cross-check.  A graded complex's homology is exact, so a
+    disagreement raises EngineError; an ungraded image only bounds the
+    homology from above, so there it leaves the cross-check inconclusive.
+    """
+    locus = crit.locus
+    regular = locus.zero_dimensional
+    if locus.dimension is None:
+        criterion = "unit Jacobian ideal: strict and derived loci are both empty"
+    elif regular:
+        criterion = "Jacobian quotient has dimension 0 (height n over a Cohen-Macaulay ring)"
+    else:
+        criterion = f"Jacobian quotient has dimension {locus.dimension} > 0"
+    report = crit.homology(bound)
+    positive = {
+        k: (report.dimensions[k] if report.mode == "finite" else sum(report.table[k]))
+        for k in range(1, crit.f.arity + 1)
+    }
+    any_positive = any(v != 0 for v in positive.values())
+    if regular and any_positive and report.sliceable:
+        raise EngineError(
+            "height criterion says regular sequence but positive-degree homology is nonzero"
+        )
+    cross = "confirms" if regular != any_positive else "inconclusive within bound"
+    return LambdaVerdict(
+        regular=regular,
+        criterion=criterion,
+        dimension=locus.dimension,
+        positive_degree_dimensions=positive,
+        homology_bound=report.bound,
+        cross_check=cross,
+    )
 
 
-def hessian_at(f: MultiPoly, point: Sequence) -> list[list[Fraction]]:
-    if len(point) != f.arity:
+def point_report(crit: Crit, point: Sequence) -> CriticalPointReport:
+    """Local analysis at a rational point: Hessian, inverse-Hessian map.
+
+    At a non-degenerate critical point the non-degeneracy map of the
+    Lagrangian fibration is the inverse Hessian; off the strict locus no
+    such map is reported.
+    """
+    pt = tuple(Fraction(x) for x in point)
+    if len(pt) != crit.f.arity:
         raise ArityError("point arity mismatch")
-    return hessian(f).matrix.evaluate([Fraction(x) for x in point])
-
-
-def point_report(f: MultiPoly, point: Sequence) -> CriticalPointReport:
-    """Hessian and inverse-Hessian map of f at a rational point."""
-    return Crit(f).point_report(point)
+    value = point_evaluator(pt)  # one evaluator: the point's powers are shared
+    on_locus = not any(map(value, crit.complex.diff_images))
+    hess = [list(map(value, row)) for row in crit.complex.jacobian]
+    alpha = invert(hess) if on_locus else None
+    nondegenerate = on_locus and alpha is not None
+    # the pairing block of the shifted 2-form is the identity in every
+    # chart; its rank is checked rather than assumed
+    _, _, flat_invertible = pairing_form(crit.f.arity)
+    return CriticalPointReport(
+        point=pt,
+        on_locus=on_locus,
+        hessian_at=tuple(tuple(row) for row in hess),
+        nondegenerate=nondegenerate,
+        alpha_matrix=tuple(tuple(row) for row in alpha) if nondegenerate and alpha else None,
+        omega_flat_invertible=flat_invertible,
+    )
 
 
 def fat_point_signal(milnor: int | float, distinct_points_on_locus: int) -> bool:
@@ -365,18 +238,106 @@ def fat_point_signal(milnor: int | float, distinct_points_on_locus: int) -> bool
     return milnor != INFINITE and milnor > distinct_points_on_locus
 
 
-def validate_splitting(f: MultiPoly, s: SplittingData) -> SplittingData:
-    """Validate a coordinate splitting of the critical family of f."""
-    return Crit(f).validate_splitting(s)
+def validate_splitting(crit: Crit, s: SplittingData) -> SplittingData:
+    """Check that the coordinate subspace S0 = {x_j = 0, j normal} realizes
+    the strict critical locus and is Q-orthogonal to the normal directions.
+
+    Every partial of f must lie in the ideal of S0 (so S0 is contained in
+    the strict locus), and the two loci must have the same dimension.
+    Q-orthogonality then needs no check of its own: f is a constant plus
+    an element of (x_N)^2, so every Hessian entry in a tangent row
+    vanishes on S0.
+    """
+    n = crit.f.arity
+    if set(s.tangent_vars) | set(s.normal_vars) != set(range(n)) or set(
+        s.tangent_vars
+    ) & set(s.normal_vars):
+        raise ValueError("tangent and normal variables must partition the coordinates")
+    for i, g in enumerate(crit.complex.diff_images):
+        if not _restrict(g, s).is_zero():
+            raise SplittingError(
+                "not_tangent",
+                "splitting not tangent to critical locus: partial derivative "
+                f"{i} of the functional does not vanish modulo the subspace ideal",
+            )
+    locus_dim = crit.locus.dimension
+    expected = len(s.tangent_vars)
+    if locus_dim != expected:
+        raise SplittingError(
+            "not_tangent",
+            "splitting not tangent to critical locus: the strict locus has "
+            f"dimension {locus_dim}, the coordinate subspace has dimension {expected}",
+        )
+    return SplittingData(s.tangent_vars, s.normal_vars, validated=True)
 
 
-def normal_hessian(f: MultiPoly, s: SplittingData) -> tuple[PolyMatrix, bool]:
-    """Normal Hessian block of f over the family ring, with its verdict."""
-    return Crit(f).normal_hessian(s)
+def normal_hessian(crit: Crit, s: SplittingData) -> tuple[PolyMatrix, bool]:
+    """Normal-normal Hessian block over the family ring Q[x_T], with the
+    non-degeneracy verdict (its determinant is a unit: a nonzero constant)."""
+    if not s.validated:
+        raise ValueError("splitting has not been validated")
+    return crit._once(("normal_hessian", s.normal_vars), lambda: _normal_block(crit, s))
+
+
+def _normal_block(crit: Crit, s: SplittingData) -> tuple[PolyMatrix, bool]:
+    hess = hessian(crit).matrix
+    block = PolyMatrix(
+        tuple(
+            tuple(_restrict(hess.entry(i, j), s) for j in s.normal_vars)
+            for i in s.normal_vars
+        )
+    )
+    # an empty block has arity 0, so its determinant is taken by hand
+    det = block.det() if s.normal_vars else MultiPoly.one(crit.f.arity)
+    return block, det.is_constant() and not det.is_zero()
 
 
 def phi_comparison(
-    f: MultiPoly, s: SplittingData, bound: int | None = None
+    crit: Crit, s: SplittingData, bound: int | None = None
 ) -> PhiComparisonReport:
-    """T*[-1]S comparison for the critical family of f; see Crit.phi_comparison."""
-    return Crit(f).phi_comparison(s, bound)
+    """Compare Crit(f) homology against the shifted cotangent model of the
+    family: graded dimensions C(|T|, k) * hilbert(O_S, d), with the wedge
+    generators placed at polynomial degree 0; O_S is Q[x_T].
+
+    Within the bound, equality of the tables is equivalent to the normal
+    Hessian block being non-degenerate; the report carries both sides so
+    the biconditional can be asserted.
+    """
+    if not s.validated:
+        raise ValueError("splitting has not been validated")
+    n = crit.f.arity
+    _, nondeg = normal_hessian(crit, s)
+    try:
+        report = crit.homology(bound)
+    except BoundTooSmall:
+        return PhiComparisonReport(
+            bound=bound,
+            crit_table={},
+            model_table={},
+            verdict="inconclusive",
+            normal_hessian_nondegenerate=nondeg,
+            mismatches=(),
+        )
+    bound, t = report.bound, len(s.tangent_vars)
+    # monomials of degree d in the t tangent variables
+    hilbert = [math.comb(d + t - 1, d) if t else int(d == 0) for d in range(bound + 1)]
+    model = {k: tuple(math.comb(t, k) * h for h in hilbert) for k in range(n + 1)}
+    crit_table = report.table
+    mismatches = tuple(
+        (k, d, crit_table[k][d], model[k][d])
+        for k in range(n + 1)
+        for d in range(bound + 1)
+        if crit_table[k][d] != model[k][d]
+    )
+    if not report.sliceable:
+        verdict = "inconclusive"
+    else:
+        verdict = "equal" if not mismatches else "unequal"
+    return PhiComparisonReport(
+        bound=bound,
+        crit_table=crit_table,
+        model_table=model,
+        verdict=verdict,
+        normal_hessian_nondegenerate=nondeg,
+        mismatches=mismatches,
+    )

@@ -57,9 +57,6 @@ class GroebnerBasis:
     def is_unit_ideal(self) -> bool:
         return len(self.generators) == 1 and self.generators[0].is_constant()
 
-    def contains(self, p: MultiPoly) -> bool:
-        return normal_form(p, self).is_zero()
-
 
 def _reduce(
     p: MultiPoly, divisors: list[tuple[Monomial, MultiPoly]], order: MonomialOrder

@@ -45,8 +45,6 @@ from .linalg import (
     IntVector,
     KernelTracker,
     Vector,
-    point_evaluator,
-    rank as mat_rank,
 )
 from .polynomials import (
     ArityError,
@@ -69,10 +67,6 @@ class BoundTooSmall(ValueError):
         )
         self.bound = bound
         self.minimal = minimal
-
-
-class PointNotOnLocus(ValueError):
-    """A point where the complex's structure maps do not all vanish."""
 
 
 class EngineError(RuntimeError):
@@ -356,18 +350,6 @@ class FormElement(_SparseElement):
 
     __mul__ = wedge
 
-    def one_form_components(self) -> tuple[MultiPoly, ...]:
-        """Extract polynomial components a_i from sum a_i dx_i; error otherwise."""
-        comps = [MultiPoly.zero(self.arity) for _ in range(self.arity)]
-        for (dx, dxi), coeff in self.terms.items():
-            if len(dx) != 1 or dxi:
-                raise ValueError("not a polynomial 1-form in the dx generators")
-            poly = coeff.terms.get((), MultiPoly.zero(self.arity))
-            if len(coeff.terms) != (1 if poly else 0):
-                raise ValueError("1-form coefficients contain xi generators")
-            comps[dx[0]] = poly
-        return tuple(comps)
-
     def __repr__(self):
         if not self.terms:
             return "FormElement(0)"
@@ -442,44 +424,6 @@ def de_rham_and_internal(
         FormElement({key: CdgaElement(t, n) for key, t in d_out.items()}, n),
         FormElement({key: CdgaElement(t, n) for key, t in delta_out.items()}, n),
     )
-
-
-# ---------------------------------------------------------------------------
-# the two-term cotangent complex at a rational point
-
-
-@dataclass(frozen=True)
-class TwoTermComplexAtPoint:
-    """dxi-span in degree -1 mapping to dx-span in degree 0 via the Jacobian.
-
-    matrix[j][i] is dg_i/dx_j at the point; for a critical locus this is the
-    Hessian of the functional.
-    """
-
-    size: int
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-    def rank(self) -> int:
-        return mat_rank([list(row) for row in self.matrix])
-
-    def h0_dimension(self) -> int:
-        return self.size - self.rank()
-
-    def h_minus1_dimension(self) -> int:
-        return self.size - self.rank()
-
-    def is_acyclic(self) -> bool:
-        return self.rank() == self.size
-
-
-def cotangent_complex_at(K: KoszulComplex, point: Sequence) -> TwoTermComplexAtPoint:
-    if len(point) != K.arity:
-        raise ArityError("point arity mismatch")
-    value = point_evaluator(point)
-    if any(map(value, K.diff_images)):
-        raise PointNotOnLocus("the structure polynomials do not all vanish at the point")
-    matrix = tuple(zip(*(map(value, row) for row in K.jacobian)))
-    return TwoTermComplexAtPoint(K.arity, matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ division.
 """
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from critlocus import MultiPoly, ParseError, PolyMatrix
+from critlocus import CdgaElement, FormElement, MultiPoly, OneForm, ParseError, PolyMatrix
 from critlocus.polynomials import mono_div, mono_divides
 
 
@@ -323,3 +324,40 @@ def reference_reduce(p, divisors, order):
             remainder_terms[lm] = lc
             h = h - MultiPoly.monomial(lm, lc)
     return MultiPoly(remainder_terms, p.arity)
+
+
+# ---------------------------------------------------------------------------
+# the tautological 1-form and its pullback along a section
+
+
+def differential_of(f):
+    """The 1-form df = sum (df/dx_i) dx_i."""
+    return OneForm(tuple(f.partial(i) for i in range(f.arity)))
+
+
+def tautological_one_form(arity):
+    """lambda = sum xi_i dx_i on the shifted cotangent model."""
+    return FormElement({((i,), ()): CdgaElement.xi((i,), arity) for i in range(arity)}, arity)
+
+
+@dataclass(frozen=True)
+class PullbackRecord:
+    pulled_back: OneForm
+    matches_input: bool
+
+
+def pullback_tautological(alpha):
+    """Substitute xi_i -> a_i in the tautological 1-form; the result must be
+    alpha itself."""
+    n = alpha.arity
+    comps = [MultiPoly.zero(n)] * n
+    for ((i,), dxi), coeff in tautological_one_form(n).terms.items():
+        assert not dxi
+        value = MultiPoly.zero(n)
+        for xi, poly in coeff.terms.items():
+            for gen in xi:  # xi-degree <= 1 here, substitution is unambiguous
+                poly = poly * alpha.components[gen]
+            value = value + poly
+        comps[i] = value
+    pulled = OneForm(tuple(comps))
+    return PullbackRecord(pulled_back=pulled, matches_input=pulled == alpha)

@@ -35,14 +35,19 @@ from critlocus import (
     one_form_closed,
     phi_comparison,
     point_report,
-    pullback_tautological,
     validate_splitting,
     wedge,
     zero_locus_one_form,
 )
 
 from conftest import random_poly
-from oracles import dense_rank, koszul_homology_dim, staircase_dimension
+from oracles import (
+    dense_rank,
+    differential_of,
+    koszul_homology_dim,
+    pullback_tautological,
+    staircase_dimension,
+)
 from test_critical import curated_family_instances
 
 
@@ -71,10 +76,11 @@ def test_criterion_01_morse_case():
     n = 3
     x, y, z = variables(n)
     f = x**2 + y**2 + z**2
-    assert milnor_number(f) == 1
-    assert lambda_equivalence_verdict(f, bound=6).regular
+    crit = build_crit(f)
+    assert milnor_number(crit) == 1
+    assert lambda_equivalence_verdict(crit, bound=6).regular
 
-    K, locus = build_crit(f)
+    K, locus = crit.complex, crit.locus
     report = koszul_homology(K, bound=6)
     assert report.mode == "finite"
     assert report.dimensions == {0: 1, 1: 0, 2: 0, 3: 0}
@@ -88,7 +94,7 @@ def test_criterion_01_morse_case():
         )
         assert oracle_total == report.dimensions[k]
 
-    r = point_report(f, (0, 0, 0))
+    r = point_report(crit, (0, 0, 0))
     assert r.on_locus and r.nondegenerate
     half = F(1, 2)
     assert r.alpha_matrix == tuple(
@@ -99,10 +105,10 @@ def test_criterion_01_morse_case():
 @criterion(2, "A2 functional x^3/3: mu = 2, fat-point signal, degenerate point")
 def test_criterion_02_a2_case():
     x = variables(1)[0]
-    f = x**3 * F(1, 3)
-    mu = milnor_number(f)
+    crit = build_crit(x**3 * F(1, 3))
+    mu = milnor_number(crit)
     assert mu == 2
-    r = point_report(f, (0,))
+    r = point_report(crit, (0,))
     assert r.on_locus
     assert not r.nondegenerate
     assert r.alpha_matrix is None
@@ -113,23 +119,22 @@ def test_criterion_02_a2_case():
 @criterion(3, "cusp x^3 - y^2: mu = 2 exactly")
 def test_criterion_03_cusp():
     x, y = variables(2)
-    f = x**3 - y**2
-    assert milnor_number(f) == 2
+    crit = build_crit(x**3 - y**2)
+    assert milnor_number(crit) == 2
     # staircase oracle on the Jacobian leading terms
-    _, locus = build_crit(f)
-    assert staircase_dimension(locus.jacobian_basis.leading_monomials(), 2) == 2
+    assert staircase_dimension(crit.locus.jacobian_basis.leading_monomials(), 2) == 2
 
 
 @criterion(4, "family x^2 with tangent y: splitting, Q = (2), comparison equal")
 def test_criterion_04_nondegenerate_family():
     x, y = variables(2)
-    f = x**2
-    split = validate_splitting(f, SplittingData.from_tangent([1], 2))
+    crit = build_crit(x**2)
+    split = validate_splitting(crit, SplittingData.from_tangent([1], 2))
     assert split.validated
-    q, nondeg = normal_hessian(f, split)
+    q, nondeg = normal_hessian(crit, split)
     assert q.entry(0, 0) == MultiPoly.constant(2, 2)
     assert nondeg
-    rep = phi_comparison(f, split, bound=8)
+    rep = phi_comparison(crit, split, bound=8)
     assert rep.verdict == "equal"
     line = tuple([1] * 9)  # graded dimensions of the free rank-one module
     assert rep.crit_table[0] == line and rep.crit_table[1] == line
@@ -139,20 +144,21 @@ def test_criterion_04_nondegenerate_family():
 @criterion(5, "family x^2*y: Q = (2y) degenerate, comparison unequal, biconditional")
 def test_criterion_05_degenerate_family_and_biconditional():
     x, y = variables(2)
-    f = x**2 * y
-    split = validate_splitting(f, SplittingData.from_tangent([1], 2))
-    q, nondeg = normal_hessian(f, split)
+    crit = build_crit(x**2 * y)
+    split = validate_splitting(crit, SplittingData.from_tangent([1], 2))
+    q, nondeg = normal_hessian(crit, split)
     assert q.entry(0, 0) == 2 * y
     assert not nondeg
-    rep = phi_comparison(f, split, bound=8)
+    rep = phi_comparison(crit, split, bound=8)
     assert rep.verdict == "unequal"
     assert rep.biconditional_holds
 
     # biconditional across criteria 4-5 plus 20 randomized family instances
     outcomes = set()
     for g, tangent, n in curated_family_instances(count=20):
-        s = validate_splitting(g, SplittingData.from_tangent(tangent, n))
-        r = phi_comparison(g, s, bound=8)
+        crit = build_crit(g)
+        s = validate_splitting(crit, SplittingData.from_tangent(tangent, n))
+        r = phi_comparison(crit, s, bound=8)
         assert r.verdict in ("equal", "unequal")
         assert r.biconditional_holds
         outcomes.add(r.verdict)
@@ -163,7 +169,7 @@ def test_criterion_05_degenerate_family_and_biconditional():
 def test_criterion_06_shifted_cotangent_of_plane():
     n = 2
     f = MultiPoly.constant(5, n)
-    K, _ = build_crit(f)
+    K = build_crit(f).complex
     assert all(g.is_zero() for g in K.diff_images)
     bound = 6
     report = koszul_homology(K, bound=bound)
@@ -191,8 +197,8 @@ def test_criterion_08_hessian_pairing_identity():
     for _ in range(50):
         n = rng.randint(1, 3)
         f = random_poly(rng, n, max_degree=4)
-        K, _ = build_crit(f)
-        h = hessian(f).matrix
+        crit = build_crit(f)
+        K, h = crit.complex, hessian(crit).matrix
         for i in range(n):
             _, delta = de_rham_and_internal(FormElement.dxi(i, n), K)
             expected = FormElement.zero(n)
@@ -268,7 +274,7 @@ def test_criterion_11_closedness_gating():
     for _ in range(200):
         n = rng.randint(1, 3)
         if rng.random() < 0.35:  # mix in exact (hence closed) forms
-            alpha = OneForm.differential_of(random_poly(rng, n, max_degree=4))
+            alpha = differential_of(random_poly(rng, n, max_degree=4))
         else:
             alpha = OneForm(tuple(random_poly(rng, n, max_degree=3) for _ in range(n)))
         result = zero_locus_one_form(alpha)

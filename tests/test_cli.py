@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import sys
@@ -14,7 +15,6 @@ from critlocus.cli import (
     InputError,
     main,
     request_from_args,
-    request_from_echo,
     run,
 )
 from critlocus.linalg import KernelTracker
@@ -97,7 +97,11 @@ class TestDeterminism:
             req("point", ["x"], functional="x^3/3", points=("0", "1/2")),
         ):
             echo = run(r).data["request"]
-            assert request_from_echo(echo) == r
+            fields = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
+            fields["format"] = fields.pop("output_format")
+            assert echo == {
+                k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()
+            }
 
 
 class TestArgumentParsing:
@@ -319,6 +323,7 @@ class TestComputeOnce:
     def test_oneform(self, calls):
         run(req("oneform", ["x", "y"], one_form="y;x"))
         assert calls["omega_minus_one"] == 1
+        assert calls["de_rham_and_internal"] == 1  # delta(omega) only
 
     def test_analyze_builds_no_representatives(self, calls):
         report = run(req("analyze", ["x", "y"], functional="x^3+y^3"))
@@ -393,8 +398,6 @@ class TestInternalError:
     """A failed internal cross-check exits with status 4, not a traceback."""
 
     def test_cross_check_failure_exits_4(self, monkeypatch, capsys):
-        import dataclasses
-
         real = critical.koszul_homology
 
         def contradicting(K, bound=None):
@@ -407,6 +410,19 @@ class TestInternalError:
         assert captured.out == ""
         assert captured.err.startswith("error: internal cross-check failed: ")
         assert "positive-degree homology is nonzero" in captured.err
+
+    @pytest.mark.parametrize("alpha", ["y;x", "y;0"])
+    def test_closedness_routes_disagree_exits_4(self, alpha, monkeypatch, capsys):
+        real = cli.omega_minus_one
+
+        def flipped(arity, K):
+            return symplectic.OmegaVerification(not real(arity, K).internal_closed)
+
+        monkeypatch.setattr(cli, "omega_minus_one", flipped)
+        assert main(["oneform", "--vars", "x,y", "--alpha", alpha]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal cross-check failed: the curl ")
 
 
 class TestParentheses:
@@ -427,7 +443,8 @@ class TestLongNumbers:
     """A number longer than the interpreter converts is a parse error at its
     byte, for a functional and for a 1-form component.  (A long exponent is
     refused the same way, but an interpreter without the digit limit would
-    read it and then enumerate its staircase.)"""
+    read it and then enumerate its staircase.)  A report value longer than
+    that is refused with exit 2 as well."""
 
     DIGITS = "9" * 5000
 
@@ -442,6 +459,23 @@ class TestLongNumbers:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot parse ")
         assert f"at byte {offset}: number of 5000 digits is too long" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the Hessian 6*c*p at the point has 6001 digits
+            ["point", "--vars", "x", "--f", "9" * 3000 + "*x^3", "--point", "9" * 3000],
+            # the normal Hessian 2*c has 4301 digits
+            ["family", "--vars", "x,t", "--f", "9" * 4300 + "*x^2", "--tangent", "t"],
+        ],
+        ids=["point", "family"],
+    )
+    def test_long_report_value_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        limit = sys.get_int_max_str_digits()
+        assert captured.out == ""
+        assert captured.err == f"error: report value is too long: more than {limit} digits\n"
 
 
 class TestParserReuse:

@@ -7,15 +7,12 @@ import pytest
 
 from critlocus import (
     INFINITE,
-    Crit,
-    KoszulComplex,
     MultiPoly,
     SplittingData,
     SplittingError,
     build_crit,
     fat_point_signal,
     hessian,
-    hessian_at,
     koszul_homology,
     lambda_equivalence_verdict,
     milnor_number,
@@ -31,7 +28,7 @@ from critlocus.groebner import (
     krull_dimension,
     normal_form,
 )
-from critlocus.koszul import cotangent_complex_at, minimal_safe_bound
+from critlocus.koszul import minimal_safe_bound
 from critlocus.linalg import PolyMatrix
 from critlocus.polynomials import GREVLEX
 
@@ -46,21 +43,24 @@ def variables(n):
 class TestBuildCrit:
     def test_morse_plane(self):
         x, y = variables(2)
-        K, locus = build_crit(x**2 + y**2)
+        crit = build_crit(x**2 + y**2)
+        K, locus = crit.complex, crit.locus
         assert K.diff_images == (2 * x, 2 * y)
         assert K.origin_tag == "critical_locus"
         assert locus.zero_dimensional and locus.dimension == 0
         for g in K.diff_images:
-            assert locus.jacobian_basis.contains(g)
+            assert normal_form(g, locus.jacobian_basis).is_zero()
 
     def test_constant_functional_is_shifted_cotangent(self):
-        K, locus = build_crit(MultiPoly.constant(7, 2))
+        crit = build_crit(MultiPoly.constant(7, 2))
+        K, locus = crit.complex, crit.locus
         assert all(g.is_zero() for g in K.diff_images)
         assert locus.dimension == 2 and not locus.zero_dimensional
 
     def test_degenerate_family(self):
         x, y = variables(2)
-        K, locus = build_crit(x**2 * y)
+        crit = build_crit(x**2 * y)
+        K, locus = crit.complex, crit.locus
         assert K.diff_images == (2 * x * y, x**2)
         assert locus.dimension == 1 and not locus.zero_dimensional
 
@@ -68,86 +68,87 @@ class TestBuildCrit:
 class TestMilnorNumber:
     def test_morse(self):
         x = variables(1)[0]
-        assert milnor_number(x**2) == 1
+        assert milnor_number(build_crit(x**2)) == 1
 
     def test_cusp_functional_fat_point(self):
         x = variables(1)[0]
-        assert milnor_number(x**3 * F(1, 3)) == 2
+        assert milnor_number(build_crit(x**3 * F(1, 3))) == 2
 
     def test_cusp_curve(self):
         x, y = variables(2)
-        assert milnor_number(x**3 - y**2) == 2
+        assert milnor_number(build_crit(x**3 - y**2)) == 2
 
     def test_non_isolated(self):
         x, y = variables(2)
-        assert milnor_number(x**2 * y) == INFINITE
+        assert milnor_number(build_crit(x**2 * y)) == INFINITE
 
     def test_no_critical_points(self):
         x = variables(1)[0]
-        assert milnor_number(x) == 0
+        assert milnor_number(build_crit(x)) == 0
 
     def test_matches_staircase_oracle(self, rng):
         for _ in range(15):
             n = rng.randint(1, 2)
             f = random_poly(rng, n, max_degree=3)
-            mu = milnor_number(f)
-            _, locus = build_crit(f)
-            oracle = staircase_dimension(locus.jacobian_basis.leading_monomials(), n)
+            crit = build_crit(f)
+            mu = milnor_number(crit)
+            oracle = staircase_dimension(crit.locus.jacobian_basis.leading_monomials(), n)
             assert (mu == INFINITE and oracle is None) or mu == oracle
 
 
 class TestLambdaEquivalence:
     def test_morse_true(self):
         x, y = variables(2)
-        v = lambda_equivalence_verdict(x**2 + y**2)
+        v = lambda_equivalence_verdict(build_crit(x**2 + y**2))
         assert v.regular and v.cross_check == "confirms"
         assert all(d == 0 for d in v.positive_degree_dimensions.values())
 
     def test_degenerate_family_false_with_homology_witness(self):
         x, y = variables(2)
-        v = lambda_equivalence_verdict(x**2 * y)
+        v = lambda_equivalence_verdict(build_crit(x**2 * y))
         assert not v.regular
         assert v.positive_degree_dimensions[1] > 0
         assert v.cross_check == "confirms"
 
     def test_constant_false(self):
-        v = lambda_equivalence_verdict(MultiPoly.constant(3, 2), bound=3)
+        v = lambda_equivalence_verdict(build_crit(MultiPoly.constant(3, 2)), bound=3)
         assert not v.regular
 
     def test_empty_locus_is_regular(self):
         x = variables(1)[0]
-        assert lambda_equivalence_verdict(x).regular
+        assert lambda_equivalence_verdict(build_crit(x)).regular
 
     def test_agrees_with_milnor_finiteness(self, rng):
         for _ in range(12):
             n = rng.randint(1, 2)
             f = random_poly(rng, n, max_degree=3)
-            mu = milnor_number(f)
-            verdict = lambda_equivalence_verdict(f, bound=6)
+            crit = build_crit(f)
+            mu = milnor_number(crit)
+            verdict = lambda_equivalence_verdict(crit, bound=6)
             assert verdict.regular == (mu != INFINITE)
 
 
 class TestHessian:
     def test_direct_second_partials(self):
         x, y = variables(2)
-        h = hessian(x**2 + 3 * x * y).matrix
+        h = hessian(build_crit(x**2 + 3 * x * y)).matrix
         assert h.evaluate([F(0), F(0)]) == [[F(2), F(3)], [F(3), F(0)]]
 
     def test_blocks_of_partial_functional(self):
         x, y = variables(2)
-        h = hessian(x**2).matrix
+        h = hessian(build_crit(x**2)).matrix
         assert h.entry(0, 0) == MultiPoly.constant(2, 2)
         assert h.entry(0, 1).is_zero() and h.entry(1, 1).is_zero()
 
     def test_symmetry_random(self, rng):
         for _ in range(20):
             f = random_poly(rng, 3, max_degree=4)
-            assert is_symmetric(hessian(f).matrix)
+            assert is_symmetric(hessian(build_crit(f)).matrix)
 
     def test_equals_jacobian_of_partials(self, rng):
         for _ in range(10):
             f = random_poly(rng, 2, max_degree=4)
-            h = hessian(f).matrix
+            h = hessian(build_crit(f)).matrix
             for i in range(2):
                 for j in range(2):
                     assert h.entry(i, j) == f.partial(i).partial(j)
@@ -155,48 +156,53 @@ class TestHessian:
 
 class TestHessianIsJacobian:
     """The Hessian is the Jacobian of the Koszul complex, computed once and
-    shared with the cotangent complex at a point."""
+    shared with the Hessian at a point."""
 
     def test_hessian_is_the_cached_jacobian(self, rng):
         for _ in range(10):
-            crit = Crit(random_poly(rng, 3, max_degree=4))
-            assert crit.hessian.matrix.entries is crit.complex.jacobian
-            assert hessian(crit.f).matrix == crit.hessian.matrix
+            crit = build_crit(random_poly(rng, 3, max_degree=4))
+            assert hessian(crit).matrix.entries is crit.complex.jacobian
+            assert hessian(build_crit(crit.f)).matrix == hessian(crit).matrix
 
     def test_cotangent_matrix_is_the_transposed_jacobian(self, rng):
         for _ in range(10):
             n = rng.randint(1, 3)
             point = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-            gs = [random_poly(rng, n) for _ in range(n)]
-            # shift every structure polynomial so that it vanishes at the point
-            K = KoszulComplex(n, tuple(g - MultiPoly.constant(g.evaluate(point), n) for g in gs))
+            f = random_poly(rng, n, max_degree=4)
+            # subtract the linear form df(point) so that the point is critical
+            grad = [f.partial(i).evaluate(point) for i in range(n)]
+            for i, c in enumerate(grad):
+                f = f - MultiPoly.variable(i, n) * c
+            crit = build_crit(f)
+            K = crit.complex
             for i, g in enumerate(K.diff_images):
                 assert K.jacobian[i] == tuple(g.partial(j) for j in range(n))
             at = PolyMatrix(K.jacobian).evaluate(point)
             expected = tuple(tuple(at[i][j] for i in range(n)) for j in range(n))
-            assert cotangent_complex_at(K, point).matrix == expected
+            r = point_report(crit, point)
+            assert r.on_locus and r.hessian_at == expected
 
 
 class TestPointReport:
     def test_morse_inverse(self):
         x = variables(1)[0]
-        r = point_report(x**2, (0,))
+        r = point_report(build_crit(x**2), (0,))
         assert r.on_locus and r.nondegenerate
         assert r.alpha_matrix == ((F(1, 2),),)
 
     def test_scaled_morse_inverse(self):
         x = variables(1)[0]
-        r = point_report(2 * x**2, (0,))
+        r = point_report(build_crit(2 * x**2), (0,))
         assert r.alpha_matrix == ((F(1, 4),),)
 
     def test_degenerate_point_no_alpha(self):
         x = variables(1)[0]
-        r = point_report(x**3 * F(1, 3), (0,))
+        r = point_report(build_crit(x**3 * F(1, 3)), (0,))
         assert r.on_locus and not r.nondegenerate and r.alpha_matrix is None
 
     def test_off_locus(self):
         x, y = variables(2)
-        r = point_report(x**2 + y**2, (1, 2))
+        r = point_report(build_crit(x**2 + y**2), (1, 2))
         assert not r.on_locus and not r.nondegenerate and r.alpha_matrix is None
 
     def test_alpha_times_hessian_is_identity(self, rng):
@@ -206,7 +212,7 @@ class TestPointReport:
             f = MultiPoly.zero(n)
             for i, c in enumerate(coeffs):
                 f = f + MultiPoly.variable(i, n) ** 2 * c
-            r = point_report(f, tuple(F(0) for _ in range(n)))
+            r = point_report(build_crit(f), tuple(F(0) for _ in range(n)))
             assert r.nondegenerate
             assert mat_mul(
                 [list(row) for row in r.alpha_matrix],
@@ -215,7 +221,7 @@ class TestPointReport:
 
     def test_omega_flat_is_verified(self):
         x = variables(1)[0]
-        assert point_report(x**2, (0,)).omega_flat_invertible
+        assert point_report(build_crit(x**2), (0,)).omega_flat_invertible
 
 
 class TestFatPointSignal:
@@ -232,54 +238,57 @@ class TestFatPointSignal:
 class TestValidateSplitting:
     def test_morse_normal_line(self):
         x = variables(2)[0]
-        s = validate_splitting(x**2, SplittingData.from_tangent([1], 2))
+        s = validate_splitting(build_crit(x**2), SplittingData.from_tangent([1], 2))
         assert s.validated and s.normal_vars == (0,)
 
     def test_wrong_subspace(self):
         x = variables(2)[0]
         with pytest.raises(SplittingError) as err:
-            validate_splitting(x**2, SplittingData.from_tangent([0], 2))
+            validate_splitting(build_crit(x**2), SplittingData.from_tangent([0], 2))
         assert err.value.kind == "not_tangent"
 
     def test_degenerate_family_blocks_vanish(self):
         x, y = variables(2)
-        s = validate_splitting(x**2 * y, SplittingData.from_tangent([1], 2))
+        s = validate_splitting(build_crit(x**2 * y), SplittingData.from_tangent([1], 2))
         assert s.validated
 
     def test_dimension_guard(self):
         # strict locus of x^2 in 3 variables is a plane, not the claimed line
         x = variables(3)[0]
         with pytest.raises(SplittingError):
-            validate_splitting(x**2, SplittingData.from_tangent([1], 3))
+            validate_splitting(build_crit(x**2), SplittingData.from_tangent([1], 3))
 
     def test_q_orthogonality_failure(self):
         x, y = variables(2)
         # partials of x^2 + x*y^2: (2x + y^2, 2xy); tangent y fails block check
         with pytest.raises(SplittingError) as err:
-            validate_splitting(x**2 + y**2 * x, SplittingData.from_tangent([1], 2))
+            validate_splitting(build_crit(x**2 + y**2 * x), SplittingData.from_tangent([1], 2))
         assert err.value.kind == "not_tangent"
 
 
 class TestNormalHessian:
     def test_unit_constant(self):
         x = variables(2)[0]
-        s = validate_splitting(x**2, SplittingData.from_tangent([1], 2))
-        q, nondeg = normal_hessian(x**2, s)
+        crit = build_crit(x**2)
+        s = validate_splitting(crit, SplittingData.from_tangent([1], 2))
+        q, nondeg = normal_hessian(crit, s)
         assert q.entry(0, 0) == MultiPoly.constant(2, 2)
         assert nondeg
 
     def test_degenerate_weight(self):
         x, y = variables(2)
-        s = validate_splitting(x**2 * y, SplittingData.from_tangent([1], 2))
-        q, nondeg = normal_hessian(x**2 * y, s)
+        crit = build_crit(x**2 * y)
+        s = validate_splitting(crit, SplittingData.from_tangent([1], 2))
+        q, nondeg = normal_hessian(crit, s)
         assert q.entry(0, 0) == 2 * y
         assert not nondeg
 
     def test_diagonal_pair(self):
         x, y, z = variables(3)
         f = x**2 + z**2
-        s = validate_splitting(f, SplittingData.from_tangent([1], 3))
-        q, nondeg = normal_hessian(f, s)
+        crit = build_crit(f)
+        s = validate_splitting(crit, SplittingData.from_tangent([1], 3))
+        q, nondeg = normal_hessian(crit, s)
         assert q.det() == MultiPoly.constant(4, 3)
         assert nondeg
 
@@ -287,8 +296,9 @@ class TestNormalHessian:
 class TestPhiComparison:
     def test_morse_family_equal(self):
         x = variables(2)[0]
-        s = validate_splitting(x**2, SplittingData.from_tangent([1], 2))
-        rep = phi_comparison(x**2, s, bound=8)
+        crit = build_crit(x**2)
+        s = validate_splitting(crit, SplittingData.from_tangent([1], 2))
+        rep = phi_comparison(crit, s, bound=8)
         assert rep.verdict == "equal"
         assert rep.normal_hessian_nondegenerate
         assert rep.biconditional_holds
@@ -298,8 +308,9 @@ class TestPhiComparison:
     def test_degenerate_family_unequal(self):
         x, y = variables(2)
         f = x**2 * y
-        s = validate_splitting(f, SplittingData.from_tangent([1], 2))
-        rep = phi_comparison(f, s, bound=8)
+        crit = build_crit(f)
+        s = validate_splitting(crit, SplittingData.from_tangent([1], 2))
+        rep = phi_comparison(crit, s, bound=8)
         assert rep.verdict == "unequal"
         assert not rep.normal_hessian_nondegenerate
         assert rep.biconditional_holds
@@ -307,15 +318,17 @@ class TestPhiComparison:
 
     def test_zero_functional_whole_space(self):
         f = MultiPoly.zero(2)
-        s = validate_splitting(f, SplittingData.from_tangent([0, 1], 2))
-        rep = phi_comparison(f, s, bound=5)
+        crit = build_crit(f)
+        s = validate_splitting(crit, SplittingData.from_tangent([0, 1], 2))
+        rep = phi_comparison(crit, s, bound=5)
         assert rep.verdict == "equal" and rep.normal_hessian_nondegenerate
 
     def test_point_case_as_full_normal_instance(self):
         x, y = variables(2)
         f = x**2 + y**2
-        s = validate_splitting(f, SplittingData.from_tangent([], 2))
-        rep = phi_comparison(f, s, bound=5)
+        crit = build_crit(f)
+        s = validate_splitting(crit, SplittingData.from_tangent([], 2))
+        rep = phi_comparison(crit, s, bound=5)
         assert rep.verdict == "equal" and rep.biconditional_holds
 
 
@@ -355,8 +368,9 @@ class TestPhiBiconditionalProperty:
     def test_holds_on_curated_family(self):
         both_branches = set()
         for f, tangent, n in curated_family_instances():
-            s = validate_splitting(f, SplittingData.from_tangent(tangent, n))
-            rep = phi_comparison(f, s, bound=8)
+            crit = build_crit(f)
+            s = validate_splitting(crit, SplittingData.from_tangent(tangent, n))
+            rep = phi_comparison(crit, s, bound=8)
             assert rep.verdict in ("equal", "unequal")
             assert rep.biconditional_holds, (f, tangent)
             both_branches.add(rep.verdict)
@@ -370,8 +384,9 @@ class TestDiagonalQuadratics:
             f = MultiPoly.zero(n)
             for i in range(n):
                 f = f + MultiPoly.variable(i, n) ** 2 * F(rng.choice([1, 2, 3, -2]))
-            assert milnor_number(f) == 1
-            rep = koszul_homology(build_crit(f)[0], bound=6)
+            crit = build_crit(f)
+            assert milnor_number(crit) == 1
+            rep = koszul_homology(crit.complex, bound=6)
             assert all(rep.dimensions[k] == 0 for k in range(1, n + 1))
             assert rep.dimensions[0] == 1
 
@@ -443,7 +458,7 @@ class TestSplittingByRestriction:
                 f = _rational_poly(rng, n, terms=rng.randint(2, 5))
             else:
                 f = _normal_quadratic(rng, n)
-            crit = Crit(f)
+            crit = build_crit(f)
             bound = minimal_safe_bound(crit.complex) + 1
             for size in range(n + 1):
                 for tangent in itertools.combinations(range(n), size):
@@ -452,14 +467,14 @@ class TestSplittingByRestriction:
                     pairs += 1
                     if isinstance(expected, str):
                         with pytest.raises(SplittingError) as err:
-                            crit.validate_splitting(s)
+                            validate_splitting(crit, s)
                         assert err.value.kind == expected, (f, tangent)
                         kinds.add(expected)
                         continue
-                    split = crit.validate_splitting(s)
+                    split = validate_splitting(crit, s)
                     block, nondeg, model = expected
-                    assert crit.normal_hessian(split) == (block, nondeg), (f, tangent)
-                    assert crit.phi_comparison(split, bound).model_table == model, (f, tangent)
+                    assert normal_hessian(crit, split) == (block, nondeg), (f, tangent)
+                    assert phi_comparison(crit, split, bound).model_table == model, (f, tangent)
                     verdicts.add(nondeg)
         assert pairs >= 300
         assert kinds == {"not_tangent"} and verdicts == {True, False}

@@ -13,8 +13,6 @@ from critlocus import (
     FormElement,
     KoszulComplex,
     MultiPoly,
-    PointNotOnLocus,
-    cotangent_complex_at,
     de_rham_and_internal,
     default_homology_bound,
     homology_representatives,
@@ -338,31 +336,6 @@ class TestHomology:
         with pytest.raises(BoundTooSmall) as err:
             koszul_homology(K, bound=1)
         assert err.value.minimal == 2
-
-
-class TestCotangentComplexAtPoint:
-    def test_morse_point(self):
-        x = variables(1)[0]
-        tc = cotangent_complex_at(crit(x**2), [0])
-        assert tc.matrix == ((F(2),),)
-        assert tc.h0_dimension() == 0 and tc.h_minus1_dimension() == 0
-
-    def test_degenerate_point(self):
-        x = variables(1)[0]
-        tc = cotangent_complex_at(crit(x**3 * F(1, 3)), [0])
-        assert tc.matrix == ((F(0),),)
-        assert tc.h0_dimension() == 1 and tc.h_minus1_dimension() == 1
-
-    def test_plane_morse_acyclic(self):
-        x, y = variables(2)
-        tc = cotangent_complex_at(crit(x**2 + y**2), [0, 0])
-        assert tc.matrix == ((F(2), F(0)), (F(0), F(2)))
-        assert tc.is_acyclic()
-
-    def test_rejects_points_off_locus(self):
-        x, y = variables(2)
-        with pytest.raises(PointNotOnLocus):
-            cotangent_complex_at(crit(x**2 + y**2), [1, 0])
 
 
 def sheared(n, degree, shear):

@@ -11,12 +11,12 @@ from critlocus import (
     de_rham_and_internal,
     omega_minus_one,
     one_form_closed,
-    pullback_tautological,
-    tautological_one_form,
     zero_locus_one_form,
 )
+from critlocus.symplectic import pairing_form
 
 from conftest import random_poly
+from oracles import differential_of, pullback_tautological, tautological_one_form
 
 
 def variables(n):
@@ -40,7 +40,7 @@ class TestClosedness:
         for _ in range(30):
             n = rng.randint(1, 3)
             f = random_poly(rng, n, max_degree=4)
-            assert one_form_closed(OneForm.differential_of(f))
+            assert one_form_closed(differential_of(f))
 
 
 class TestZeroLocus:
@@ -48,8 +48,8 @@ class TestZeroLocus:
         for _ in range(20):
             n = rng.randint(1, 3)
             f = random_poly(rng, n, max_degree=3)
-            result = zero_locus_one_form(OneForm.differential_of(f))
-            K, _ = build_crit(f)
+            result = zero_locus_one_form(differential_of(f))
+            K = build_crit(f).complex
             assert result.complex.diff_images == K.diff_images
             assert result.closed
 
@@ -96,17 +96,20 @@ class TestOmegaMinusOne:
         x = variables(1)[0]
         K = KoszulComplex(1, (2 * x,), "critical_locus")
         record = omega_minus_one(1, K)
-        assert record.is_differential_of_tautological
-        assert record.de_rham_closed
+        omega, pairing, invertible = pairing_form(1)
+        d_lam, _ = de_rham_and_internal(tautological_one_form(1), K)
+        d_omega, _ = de_rham_and_internal(omega, K)
+        assert d_lam == omega  # omega is the de Rham differential of lambda
+        assert d_omega.is_zero()
         assert record.internal_closed
-        assert record.pairing_matrix == ((F(1),),)
-        assert record.pairing_invertible
+        assert pairing == ((F(1),),)
+        assert invertible
 
     def test_internal_closed_for_any_critical_locus(self, rng):
         for _ in range(20):
             n = rng.randint(1, 3)
             f = random_poly(rng, n, max_degree=4)
-            K, _ = build_crit(f)
+            K = build_crit(f).complex
             record = omega_minus_one(n, K)
             assert record.internal_closed  # symmetry of second partials
 
@@ -115,23 +118,27 @@ class TestOmegaMinusOne:
         K = KoszulComplex(2, (y, MultiPoly.zero(2)), "one_form")
         record = omega_minus_one(2, K)
         assert not record.internal_closed
-        assert record.internal_residue is not None
+        _, residue = de_rham_and_internal(pairing_form(2)[0], K)
         # residue is (-1) * dx^dy
         from critlocus import CdgaElement, FormElement
 
         expected = FormElement(
             {((0, 1), ()): CdgaElement.from_poly(MultiPoly.constant(-1, 2))}, 2
         )
-        assert record.internal_residue == expected
+        assert residue == expected
 
     def test_pairing_is_identity_for_all_arities(self):
         for n in range(1, 4):
             K = KoszulComplex(n, tuple(MultiPoly.zero(n) for _ in range(n)))
-            record = omega_minus_one(n, K)
-            assert record.pairing_matrix == tuple(
+            omega, pairing, invertible = pairing_form(n)
+            assert pairing == tuple(
                 tuple(F(1) if i == j else F(0) for j in range(n)) for i in range(n)
             )
-            assert record.pairing_invertible
+            assert invertible
+            # d never reads K: d(lambda) = omega and d(omega) = 0 in every arity
+            d_lam, _ = de_rham_and_internal(tautological_one_form(n), K)
+            assert d_lam == omega
+            assert de_rham_and_internal(omega, K)[0].is_zero()
 
     def test_closedness_gating_agreement(self, rng):
         # one_form_closed and vanishing of the internal differential of the

@@ -49,10 +49,10 @@ def main():
 
     print(f"{'functional':34} {'Q nondeg':>9} {'comparison':>11} {'agree':>6}")
     for f, tangent, n, label in rows:
-        crit = build_crit(f)
-        split = validate_splitting(crit, SplittingData.from_tangent(tangent, n))
-        _, nondeg = normal_hessian(crit, split)
-        rep = phi_comparison(crit, split, args.bound)
+        K = build_crit(f)  # Crit(f) as the Koszul complex of the partials
+        split = validate_splitting(K, SplittingData.from_tangent(tangent, n))
+        _, nondeg = normal_hessian(K, split)
+        rep = phi_comparison(K, split, args.bound)
         agree = (rep.verdict == "equal") == nondeg
         print(f"{label:34} {str(nondeg):>9} {rep.verdict:>11} {str(agree):>6}")
         assert agree, "equivalence criterion violated"

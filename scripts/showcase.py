@@ -30,15 +30,14 @@ def poly(text, names):
 
 def show_critical(label, text, names, points=(), bound=None):
     f = poly(text, names)
-    crit = build_crit(f)
-    locus = crit.locus
-    mu = milnor_number(crit)
-    verdict = lambda_equivalence_verdict(crit, bound)
+    K = build_crit(f)  # Crit(f) as the Koszul complex of the partials
+    mu = milnor_number(K)
+    verdict = lambda_equivalence_verdict(K, bound)
     print(f"== {label}: f = {text} on ({', '.join(names)})")
-    print(f"   strict locus: dimension {locus.dimension}, "
+    print(f"   strict locus: dimension {K.dimension}, "
           f"mu = {'infinite' if mu == INFINITE else mu}")
     print(f"   regular sequence: {verdict.regular}  [{verdict.criterion}]")
-    rep = crit.homology(bound)
+    rep = K.homology(bound)
     if rep.mode == "finite":
         dims = ", ".join(f"H{k} = {rep.dimensions[k]}" for k in sorted(rep.dimensions))
         print(f"   homology (finite): {dims}")
@@ -47,7 +46,7 @@ def show_critical(label, text, names, points=(), bound=None):
             if any(rep.table[k]):
                 print(f"   graded dims H{k}: {list(rep.table[k])}")
     for pt in points:
-        r = point_report(crit, pt)
+        r = point_report(K, pt)
         if r.nondegenerate:
             alpha = [[str(c) for c in row] for row in r.alpha_matrix]
             print(f"   point {pt}: nondegenerate, inverse-Hessian map {alpha}")
@@ -60,12 +59,12 @@ def show_critical(label, text, names, points=(), bound=None):
 def show_family(label, text, names, tangent, bound=8):
     f = poly(text, names)
     index = {n: i for i, n in enumerate(names)}
-    crit = build_crit(f)
+    K = build_crit(f)
     split = validate_splitting(
-        crit, SplittingData.from_tangent([index[t] for t in tangent], len(names))
+        K, SplittingData.from_tangent([index[t] for t in tangent], len(names))
     )
-    q, nondeg = normal_hessian(crit, split)
-    rep = phi_comparison(crit, split, bound)
+    q, nondeg = normal_hessian(K, split)
+    rep = phi_comparison(K, split, bound)
     print(f"== {label}: f = {text}, tangent {{{', '.join(tangent)}}}")
     q_str = [[q.entry(i, j).to_string(names) for j in range(q.ncols)] for i in range(q.nrows)]
     print(f"   normal Hessian block: {q_str}  nondegenerate: {nondeg}")
@@ -78,10 +77,11 @@ def show_one_form(label, components, names):
     comps = tuple(poly(c, names) for c in components)
     alpha = OneForm(comps)
     result = zero_locus_one_form(alpha)
-    record = omega_minus_one(len(names), result.complex)
+    internal_closed = omega_minus_one(len(names), result.complex)
     print(f"== {label}: alpha = ({'; '.join(components)})")
     print(f"   closed: {result.closed}, Lagrangian section: {result.lagrangian_flag}")
-    print(f"   pairing-form internal differential vanishes: {record.internal_closed}")
+    print(f"   zero locus dimension: {result.complex.dimension}")
+    print(f"   pairing-form internal differential vanishes: {internal_closed}")
     print()
 
 

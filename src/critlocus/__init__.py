@@ -45,15 +45,12 @@ from .koszul import (
 )
 from .critical import (
     INFINITE,
-    Crit,
     CriticalPointReport,
     EngineError,
-    HessianData,
     LambdaVerdict,
     PhiComparisonReport,
     SplittingData,
     SplittingError,
-    StrictLocus,
     build_crit,
     fat_point_signal,
     hessian,
@@ -65,7 +62,6 @@ from .critical import (
     validate_splitting,
 )
 from .symplectic import (
-    OmegaVerification,
     OneForm,
     ZeroLocusResult,
     omega_minus_one,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -20,7 +21,6 @@ from typing import Sequence
 from . import __version__
 from .critical import (
     INFINITE,
-    Crit,
     EngineError,
     SplittingData,
     SplittingError,
@@ -33,9 +33,8 @@ from .critical import (
     point_report,
     validate_splitting,
 )
-from .groebner import krull_dimension
-from .koszul import BoundTooSmall, koszul_homology
-from .polynomials import ArityError, GREVLEX, MultiPoly, ParseError, parse_polynomial
+from .koszul import BoundTooSmall, KoszulComplex
+from .polynomials import NAME, ArityError, GREVLEX, MultiPoly, ParseError, parse_polynomial
 from .symplectic import OneForm, omega_minus_one, zero_locus_one_form
 
 
@@ -149,6 +148,9 @@ def _variables(request: AnalysisRequest) -> list[str]:
         raise InputError("at least one variable is required")
     if len(set(names)) != len(names):
         raise InputError("variable names must be unique")
+    for name in names:
+        if not re.fullmatch(NAME, name):
+            raise InputError(f"invalid variable name {name!r}: a name matches {NAME}")
     return names
 
 
@@ -170,13 +172,12 @@ def _poly_str(p: MultiPoly, names: Sequence[str]) -> str:
         raise _too_long() from None
 
 
-def _strict_locus_section(crit: Crit, mu: int | float, names) -> dict:
-    locus = crit.locus
+def _strict_locus_section(K: KoszulComplex, mu: int | float, names) -> dict:
     return {
-        "groebner_basis": [_poly_str(g, names) for g in locus.jacobian_basis.generators],
-        "monomial_order": locus.jacobian_basis.order.kind,
-        "dimension": "empty" if locus.dimension is None else locus.dimension,
-        "zero_dimensional": locus.zero_dimensional,
+        "groebner_basis": [_poly_str(g, names) for g in K.basis.generators],
+        "monomial_order": K.basis.order.kind,
+        "dimension": "empty" if K.dimension is None else K.dimension,
+        "zero_dimensional": K.zero_dimensional,
         "milnor_number": "infinite" if mu == INFINITE else mu,
     }
 
@@ -185,10 +186,10 @@ def _bound_error(exc: BoundTooSmall) -> dict:
     return {"error": "bound too small", "bound": exc.bound, "minimal_safe_bound": exc.minimal}
 
 
-def _homology_section(homology, bound) -> tuple[dict, bool]:
-    """Table of ``homology(bound)`` as JSON-safe data; second value flags inconclusive."""
+def _homology_section(K: KoszulComplex, bound) -> tuple[dict, bool]:
+    """Table of ``K.homology(bound)`` as JSON-safe data; second value flags inconclusive."""
     try:
-        rep = homology(bound)
+        rep = K.homology(bound)
     except BoundTooSmall as exc:
         return _bound_error(exc), True
     section = {
@@ -204,11 +205,11 @@ def _homology_section(homology, bound) -> tuple[dict, bool]:
     return section, False
 
 
-def _point_section(crit: Crit, pts) -> tuple[list[dict], int]:
+def _point_section(K: KoszulComplex, pts) -> tuple[list[dict], int]:
     reports = []
     on_locus = set()
     for pt in pts:
-        r = point_report(crit, pt)
+        r = point_report(K, pt)
         if r.on_locus:
             on_locus.add(r.point)
         reports.append(
@@ -254,35 +255,34 @@ def _oneform(request: AnalysisRequest, names: list[str], data: dict) -> bool:
         raise InputError(f"one-form has {len(comps)} components, expected {len(names)}")
     result = zero_locus_one_form(OneForm(tuple(comps)))
     K = result.complex
-    record = omega_minus_one(len(names), K)
-    if result.closed != record.internal_closed:
+    internal_closed = omega_minus_one(len(names), K)
+    if result.closed != internal_closed:
         raise EngineError(
             f"the curl (closed: {result.closed}) and the internal differential of the "
-            f"pairing form (vanishes: {record.internal_closed}) disagree"
+            f"pairing form (vanishes: {internal_closed}) disagree"
         )
-    dim = krull_dimension(K.basis)
-    hsection, inconclusive = _homology_section(lambda b: koszul_homology(K, b), request.bound)
+    hsection, inconclusive = _homology_section(K, request.bound)
     data["one_form"] = {
         "components": [_poly_str(c, names) for c in comps],
         "closed": result.closed,
         "lagrangian_flag": result.lagrangian_flag,
         "symplectic_claim": result.symplectic_claim,
-        "pairing_internal_differential_vanishes": record.internal_closed,
+        "pairing_internal_differential_vanishes": internal_closed,
         "zero_locus_groebner_basis": [_poly_str(g, names) for g in K.basis.generators],
-        "zero_locus_dimension": "empty" if dim is None else dim,
+        "zero_locus_dimension": "empty" if K.dimension is None else K.dimension,
         "homology": hsection,
     }
     return inconclusive
 
 
-def _analyze(crit: Crit, bound: int | None, data: dict) -> bool:
+def _analyze(K: KoszulComplex, bound: int | None, data: dict) -> bool:
     inconclusive = False
     try:
-        data["lambda_equivalence"] = _lambda_section(lambda_equivalence_verdict(crit, bound))
+        data["lambda_equivalence"] = _lambda_section(lambda_equivalence_verdict(K, bound))
     except BoundTooSmall as exc:
         data["lambda_equivalence"] = _bound_error(exc)
         inconclusive = True
-    data["homology"], hflag = _homology_section(crit.homology, bound)
+    data["homology"], hflag = _homology_section(K, bound)
     return inconclusive or hflag
 
 
@@ -298,13 +298,13 @@ def _splitting(request: AnalysisRequest, names: list[str]) -> SplittingData:
     return SplittingData.from_tangent(tangent, len(names))
 
 
-def _family(crit: Crit, split: SplittingData, bound: int | None, names, data: dict) -> bool:
+def _family(K: KoszulComplex, split: SplittingData, bound: int | None, names, data: dict) -> bool:
     try:
-        split = validate_splitting(crit, split)
+        split = validate_splitting(K, split)
     except SplittingError as exc:
         raise InputError(str(exc)) from None
-    q_matrix, nondeg = normal_hessian(crit, split)
-    phi = phi_comparison(crit, split, bound)
+    q_matrix, nondeg = normal_hessian(K, split)
+    phi = phi_comparison(K, split, bound)
     data["family"] = {
         "tangent_variables": [names[i] for i in split.tangent_vars],
         "normal_variables": [names[i] for i in split.normal_vars],
@@ -345,17 +345,17 @@ def run(request: AnalysisRequest) -> AnalysisReport:
     if request.command == "point" and not pts:
         raise InputError("subcommand 'point' requires at least one --point")
     split = _splitting(request, names) if request.command == "family" else None
-    crit = build_crit(f)
-    mu = milnor_number(crit)
-    data["strict_locus"] = _strict_locus_section(crit, mu, names)
+    K = build_crit(f)
+    mu = milnor_number(K)
+    data["strict_locus"] = _strict_locus_section(K, mu, names)
     if pts:
-        data["points"], distinct_on_locus = _point_section(crit, pts)
+        data["points"], distinct_on_locus = _point_section(K, pts)
         data["strict_locus"]["fat_point_signal"] = fat_point_signal(mu, distinct_on_locus)
     inconclusive = False
     if request.command == "analyze":
-        inconclusive = _analyze(crit, request.bound, data)
+        inconclusive = _analyze(K, request.bound, data)
     elif request.command == "family":
-        inconclusive = _family(crit, split, request.bound, names, data)
+        inconclusive = _family(K, split, request.bound, names, data)
     return AnalysisReport(data, 3 if inconclusive else 0)
 
 

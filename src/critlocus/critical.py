@@ -1,28 +1,23 @@
 """Derived-critical-locus analyses.
 
-``build_crit`` builds the Koszul model of Crit(f) from the Jacobian ideal,
-with its strict locus.  Each analysis is one function of that ``Crit``: it
-decides the regular-sequence equivalence with the strict locus, computes
-the Milnor number, Hessian data at rational points, validates coordinate
-splittings of a smooth critical family, and runs the T*[-1]S comparison
-whose success is equivalent to non-degeneracy of the normal Hessian block.
+Crit(f) is the derived zero locus of df: ``build_crit`` returns the Koszul
+complex of the partials of f, whose basis, dimension and homology describe
+the strict locus and the derived one.  Each analysis is one function of
+that complex: it decides the regular-sequence equivalence with the strict
+locus, computes the Milnor number, Hessian data at rational points,
+validates coordinate splittings of a smooth critical family, and runs the
+T*[-1]S comparison whose success is equivalent to non-degeneracy of the
+normal Hessian block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .groebner import GroebnerBasis, is_zero_dimensional, krull_dimension
-from .koszul import (
-    BoundTooSmall,
-    EngineError,
-    HomologyReport,
-    KoszulComplex,
-    koszul_homology,
-)
+from .koszul import BoundTooSmall, EngineError, KoszulComplex
 from .linalg import PolyMatrix, invert, point_evaluator
 from .polynomials import ArityError, MultiPoly
 from .symplectic import pairing_form
@@ -34,20 +29,6 @@ class SplittingError(ValueError):
     def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind  # "not_tangent"
-
-
-@dataclass(frozen=True)
-class StrictLocus:
-    """The classical vanishing scheme of the partial derivatives."""
-
-    jacobian_basis: GroebnerBasis
-    dimension: int | None  # None: empty locus (unit ideal)
-    zero_dimensional: bool
-
-
-@dataclass(frozen=True)
-class HessianData:
-    matrix: PolyMatrix
 
 
 @dataclass(frozen=True)
@@ -121,51 +102,25 @@ def _restrict(p: MultiPoly, s: SplittingData) -> MultiPoly:
     return MultiPoly._trusted(kept, p.arity)
 
 
-@dataclass(eq=False)
-class Crit:
-    """The derived critical locus Crit(f) of one functional, as ``build_crit``
-    builds it: f, its Koszul model and its strict locus.
-
-    The analyses are the module functions that take a ``Crit``.  Its memo
-    holds what they compute at most once: the Koszul homology at each bound
-    and the normal Hessian of each splitting.
-    """
-
-    f: MultiPoly
-    complex: KoszulComplex
-    locus: StrictLocus
-    _memo: dict = field(default_factory=dict, repr=False)
-
-    def _once(self, key: tuple, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
-    def homology(self, bound: int | None) -> HomologyReport:
-        """Koszul homology at ``bound`` (None: the default bound search)."""
-        return self._once(("homology", bound), lambda: koszul_homology(self.complex, bound))
+def build_crit(f: MultiPoly) -> KoszulComplex:
+    """Crit(f): the Koszul complex of the partials of f.  Its basis and
+    dimension describe the strict locus, its homology the derived one."""
+    return KoszulComplex(f.arity, tuple(f.partial(i) for i in range(f.arity)), "critical_locus")
 
 
-def build_crit(f: MultiPoly) -> Crit:
-    """Koszul model of the derived critical locus of f and its strict locus."""
-    K = KoszulComplex(f.arity, tuple(f.partial(i) for i in range(f.arity)), "critical_locus")
-    gb = K.basis
-    return Crit(f, K, StrictLocus(gb, krull_dimension(gb), is_zero_dimensional(gb)))
-
-
-def milnor_number(crit: Crit) -> int | float:
+def milnor_number(K: KoszulComplex) -> int | float:
     """Dimension of the Jacobian quotient ring; INFINITE when not isolated."""
-    if not crit.locus.zero_dimensional:
+    if not K.zero_dimensional:
         return INFINITE
-    return len(crit.complex.standard_monomials)
+    return len(K.standard_monomials)
 
 
-def hessian(crit: Crit) -> HessianData:
+def hessian(K: KoszulComplex) -> PolyMatrix:
     """Second partials of f: the Jacobian of the partials, cached on the complex."""
-    return HessianData(PolyMatrix(crit.complex.jacobian))
+    return PolyMatrix(K.jacobian)
 
 
-def lambda_equivalence_verdict(crit: Crit, bound: int | None = None) -> LambdaVerdict:
+def lambda_equivalence_verdict(K: KoszulComplex, bound: int | None = None) -> LambdaVerdict:
     """Decide whether the partials form a regular sequence.
 
     Height criterion: over a polynomial ring the n partials are regular
@@ -175,18 +130,17 @@ def lambda_equivalence_verdict(crit: Crit, bound: int | None = None) -> LambdaVe
     disagreement raises EngineError; an ungraded image only bounds the
     homology from above, so there it leaves the cross-check inconclusive.
     """
-    locus = crit.locus
-    regular = locus.zero_dimensional
-    if locus.dimension is None:
+    regular = K.zero_dimensional
+    if K.dimension is None:
         criterion = "unit Jacobian ideal: strict and derived loci are both empty"
     elif regular:
         criterion = "Jacobian quotient has dimension 0 (height n over a Cohen-Macaulay ring)"
     else:
-        criterion = f"Jacobian quotient has dimension {locus.dimension} > 0"
-    report = crit.homology(bound)
+        criterion = f"Jacobian quotient has dimension {K.dimension} > 0"
+    report = K.homology(bound)
     positive = {
         k: (report.dimensions[k] if report.mode == "finite" else sum(report.table[k]))
-        for k in range(1, crit.f.arity + 1)
+        for k in range(1, K.arity + 1)
     }
     any_positive = any(v != 0 for v in positive.values())
     if regular and any_positive and report.sliceable:
@@ -197,14 +151,14 @@ def lambda_equivalence_verdict(crit: Crit, bound: int | None = None) -> LambdaVe
     return LambdaVerdict(
         regular=regular,
         criterion=criterion,
-        dimension=locus.dimension,
+        dimension=K.dimension,
         positive_degree_dimensions=positive,
         homology_bound=report.bound,
         cross_check=cross,
     )
 
 
-def point_report(crit: Crit, point: Sequence) -> CriticalPointReport:
+def point_report(K: KoszulComplex, point: Sequence) -> CriticalPointReport:
     """Local analysis at a rational point: Hessian, inverse-Hessian map.
 
     At a non-degenerate critical point the non-degeneracy map of the
@@ -212,16 +166,16 @@ def point_report(crit: Crit, point: Sequence) -> CriticalPointReport:
     such map is reported.
     """
     pt = tuple(Fraction(x) for x in point)
-    if len(pt) != crit.f.arity:
+    if len(pt) != K.arity:
         raise ArityError("point arity mismatch")
     value = point_evaluator(pt)  # one evaluator: the point's powers are shared
-    on_locus = not any(map(value, crit.complex.diff_images))
-    hess = [list(map(value, row)) for row in crit.complex.jacobian]
+    on_locus = not any(map(value, K.diff_images))
+    hess = [list(map(value, row)) for row in K.jacobian]
     alpha = invert(hess) if on_locus else None
     nondegenerate = on_locus and alpha is not None
     # the pairing block of the shifted 2-form is the identity in every
     # chart; its rank is checked rather than assumed
-    _, _, flat_invertible = pairing_form(crit.f.arity)
+    _, _, flat_invertible = pairing_form(K.arity)
     return CriticalPointReport(
         point=pt,
         on_locus=on_locus,
@@ -238,7 +192,7 @@ def fat_point_signal(milnor: int | float, distinct_points_on_locus: int) -> bool
     return milnor != INFINITE and milnor > distinct_points_on_locus
 
 
-def validate_splitting(crit: Crit, s: SplittingData) -> SplittingData:
+def validate_splitting(K: KoszulComplex, s: SplittingData) -> SplittingData:
     """Check that the coordinate subspace S0 = {x_j = 0, j normal} realizes
     the strict critical locus and is Q-orthogonal to the normal directions.
 
@@ -248,52 +202,43 @@ def validate_splitting(crit: Crit, s: SplittingData) -> SplittingData:
     an element of (x_N)^2, so every Hessian entry in a tangent row
     vanishes on S0.
     """
-    n = crit.f.arity
+    n = K.arity
     if set(s.tangent_vars) | set(s.normal_vars) != set(range(n)) or set(
         s.tangent_vars
     ) & set(s.normal_vars):
         raise ValueError("tangent and normal variables must partition the coordinates")
-    for i, g in enumerate(crit.complex.diff_images):
+    for i, g in enumerate(K.diff_images):
         if not _restrict(g, s).is_zero():
             raise SplittingError(
                 "not_tangent",
                 "splitting not tangent to critical locus: partial derivative "
                 f"{i} of the functional does not vanish modulo the subspace ideal",
             )
-    locus_dim = crit.locus.dimension
     expected = len(s.tangent_vars)
-    if locus_dim != expected:
+    if K.dimension != expected:
         raise SplittingError(
             "not_tangent",
             "splitting not tangent to critical locus: the strict locus has "
-            f"dimension {locus_dim}, the coordinate subspace has dimension {expected}",
+            f"dimension {K.dimension}, the coordinate subspace has dimension {expected}",
         )
     return SplittingData(s.tangent_vars, s.normal_vars, validated=True)
 
 
-def normal_hessian(crit: Crit, s: SplittingData) -> tuple[PolyMatrix, bool]:
+def normal_hessian(K: KoszulComplex, s: SplittingData) -> tuple[PolyMatrix, bool]:
     """Normal-normal Hessian block over the family ring Q[x_T], with the
     non-degeneracy verdict (its determinant is a unit: a nonzero constant)."""
     if not s.validated:
         raise ValueError("splitting has not been validated")
-    return crit._once(("normal_hessian", s.normal_vars), lambda: _normal_block(crit, s))
-
-
-def _normal_block(crit: Crit, s: SplittingData) -> tuple[PolyMatrix, bool]:
-    hess = hessian(crit).matrix
     block = PolyMatrix(
-        tuple(
-            tuple(_restrict(hess.entry(i, j), s) for j in s.normal_vars)
-            for i in s.normal_vars
-        )
+        tuple(tuple(_restrict(K.jacobian[i][j], s) for j in s.normal_vars) for i in s.normal_vars)
     )
     # an empty block has arity 0, so its determinant is taken by hand
-    det = block.det() if s.normal_vars else MultiPoly.one(crit.f.arity)
+    det = block.det() if s.normal_vars else MultiPoly.one(K.arity)
     return block, det.is_constant() and not det.is_zero()
 
 
 def phi_comparison(
-    crit: Crit, s: SplittingData, bound: int | None = None
+    K: KoszulComplex, s: SplittingData, bound: int | None = None
 ) -> PhiComparisonReport:
     """Compare Crit(f) homology against the shifted cotangent model of the
     family: graded dimensions C(|T|, k) * hilbert(O_S, d), with the wedge
@@ -305,10 +250,10 @@ def phi_comparison(
     """
     if not s.validated:
         raise ValueError("splitting has not been validated")
-    n = crit.f.arity
-    _, nondeg = normal_hessian(crit, s)
+    n = K.arity
+    _, nondeg = normal_hessian(K, s)
     try:
-        report = crit.homology(bound)
+        report = K.homology(bound)
     except BoundTooSmall:
         return PhiComparisonReport(
             bound=bound,

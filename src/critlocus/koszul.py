@@ -38,6 +38,7 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     is_zero_dimensional,
+    krull_dimension,
     quotient_basis,
 )
 from .linalg import (
@@ -229,7 +230,12 @@ def wedge(a: CdgaElement, b: CdgaElement) -> CdgaElement:
 
 @dataclass(frozen=True)
 class KoszulComplex:
-    """(Sym T[1], contraction along g): odd generators with delta(xi_i) = g_i."""
+    """(Sym T[1], contraction along g): odd generators with delta(xi_i) = g_i.
+
+    The one record of the derived zero locus of g: a critical locus Crit(f)
+    (g the partials of f) or the zero locus of a 1-form.  Its cached
+    properties and ``homology`` compute each fact about the locus once.
+    """
 
     arity: int
     diff_images: tuple[MultiPoly, ...]
@@ -253,6 +259,24 @@ class KoszulComplex:
     def basis(self) -> GroebnerBasis:
         """Grevlex Groebner basis of the ideal of the structure polynomials."""
         return buchberger(list(self.diff_images), arity=self.arity)
+
+    @cached_property
+    def dimension(self) -> int | None:
+        """Krull dimension of R/J, J the ideal of the g_i; None for the empty locus."""
+        return krull_dimension(self.basis)
+
+    @cached_property
+    def zero_dimensional(self) -> bool:
+        """The locus is finitely many points or empty (the unit ideal)."""
+        return is_zero_dimensional(self.basis)
+
+    def homology(self, bound: int | None = None) -> HomologyReport:
+        """``koszul_homology`` at ``bound`` (None: the default bound search),
+        computed once per bound."""
+        memo = self.__dict__.setdefault("_homology", {})
+        if bound not in memo:
+            memo[bound] = koszul_homology(self, bound)
+        return memo[bound]
 
     @cached_property
     def jacobian(self) -> tuple[tuple[MultiPoly, ...], ...]:
@@ -464,7 +488,7 @@ def default_homology_bound(K: KoszulComplex) -> int:
     takes ``_widest_bound``.
     """
     top = minimal_safe_bound(K)
-    if is_zero_dimensional(K.basis):
+    if K.zero_dimensional:
         return max(top, K.staircase_degree + top)
     return _widest_bound(K)
 
@@ -622,6 +646,18 @@ def _check_hilbert_series(K: KoszulComplex, weights: tuple[int, ...], h0_row) ->
         )
 
 
+def _check_depth(K: KoszulComplex, table) -> None:
+    """Route B for a graded report: H_k(g; R) = 0 for k > n - grade J, and over
+    a polynomial ring grade J = height J = n - dim R/J (Bruns-Herzog 1.6.17).
+    So no H_k above the locus dimension is nonzero, and none for the empty
+    locus; a nonzero one raises EngineError."""
+    dim = K.dimension
+    for k in range(0 if dim is None else dim + 1, K.arity + 1):
+        if any(table[k]):
+            where = "the locus is empty" if dim is None else f"the locus has dimension {dim}"
+            raise EngineError(f"H_{k} is nonzero but {where}: depth sensitivity fails")
+
+
 def koszul_homology(K: KoszulComplex, bound: int | None = None) -> HomologyReport:
     """Exact homology dimensions of (Sym T[1], contraction along g).
 
@@ -631,6 +667,7 @@ def koszul_homology(K: KoszulComplex, bound: int | None = None) -> HomologyRepor
     the bounds from ``default_homology_bound`` to ``_widest_bound`` are tried
     until one is stabilized.  The boundaries lie in J, so an H_0 image below the staircase
     count raises EngineError.  Otherwise hilbert mode, tabulated up to the bound.
+    A sliceable report must also pass ``_check_depth``.
     """
     n = K.arity
     minimal = minimal_safe_bound(K)
@@ -639,7 +676,7 @@ def koszul_homology(K: KoszulComplex, bound: int | None = None) -> HomologyRepor
         raise BoundTooSmall(first, minimal)
     sliceable = K.is_weight_graded()
     weights = K.weights()
-    finite = is_zero_dimensional(K.basis)
+    finite = K.zero_dimensional
     last = max(first, _widest_bound(K)) if finite and bound is None else first
     extra = {}
     for bound in range(first, last + 1):
@@ -659,6 +696,8 @@ def koszul_homology(K: KoszulComplex, bound: int | None = None) -> HomologyRepor
         extra = {"dimensions": totals, "stabilized": stabilized}
         if stabilized:
             break
+    if sliceable:
+        _check_depth(K, table)
     return HomologyReport(
         mode="finite" if finite else "hilbert",
         arity=n,

@@ -371,7 +371,8 @@ class MultiPoly:
 # Whitespace is insignificant; "*" between a coefficient and a variable is
 # optional.  Variables must come from the declared name list.
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^]))")
+NAME = r"[A-Za-z_][A-Za-z_0-9]*"  # a variable name
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME})|([-+*/^]))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

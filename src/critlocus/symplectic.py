@@ -1,10 +1,11 @@
 """Shifted 1-forms, their derived zero loci, and the (-1)-shifted 2-form.
 
 A polynomial 1-form alpha = sum a_i dx_i determines a derived zero locus
-Z(alpha) built on the same Koszul machinery as a critical locus; alpha is
-a Lagrangian section exactly when it is closed, and the closedness shows
-up independently as vanishing of the internal differential of the pairing
-form omega = sum dxi_i ^ dx_i.
+Z(alpha): the Koszul complex of its components, the same record that
+``build_crit`` returns for Crit(f) = Z(df).  alpha is a Lagrangian section
+exactly when it is closed, and the closedness shows up independently as
+vanishing of the internal differential of the pairing form
+omega = sum dxi_i ^ dx_i, which ``omega_minus_one`` decides.
 """
 
 from __future__ import annotations
@@ -55,16 +56,6 @@ class ZeroLocusResult:
     symplectic_claim: bool
 
 
-@dataclass(frozen=True)
-class OmegaVerification:
-    """Whether the internal differential of the pairing 2-form
-    omega = sum dxi_i ^ dx_i vanishes: true for a critical locus by symmetry
-    of second partials, and for a 1-form zero locus exactly when the form is
-    closed."""
-
-    internal_closed: bool
-
-
 def one_form_closed(alpha: OneForm) -> bool:
     """Exact polynomial identity d(alpha) = 0: curl components all vanish."""
     n = alpha.arity
@@ -101,9 +92,12 @@ def pairing_form(arity: int) -> tuple[FormElement, tuple[tuple[Fraction, ...], .
     return omega, pairing, rank([list(row) for row in pairing]) == arity
 
 
-def omega_minus_one(arity: int, K: KoszulComplex) -> OmegaVerification:
-    """Apply the internal differential of K to the pairing 2-form, once."""
+def omega_minus_one(arity: int, K: KoszulComplex) -> bool:
+    """Whether the internal differential of K kills the pairing 2-form
+    omega = sum dxi_i ^ dx_i, applied once: true for a critical locus by
+    symmetry of second partials, and for a 1-form zero locus exactly when
+    the form is closed."""
     if K.arity != arity:
         raise ArityError("complex arity does not match")
     _, delta_omega = de_rham_and_internal(pairing_form(arity)[0], K)
-    return OmegaVerification(internal_closed=delta_omega.is_zero())
+    return delta_omega.is_zero()

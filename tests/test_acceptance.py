@@ -80,13 +80,13 @@ def test_criterion_01_morse_case():
     assert milnor_number(crit) == 1
     assert lambda_equivalence_verdict(crit, bound=6).regular
 
-    K, locus = crit.complex, crit.locus
+    K = crit
     report = koszul_homology(K, bound=6)
     assert report.mode == "finite"
     assert report.dimensions == {0: 1, 1: 0, 2: 0, 3: 0}
 
     # independent oracles: staircase enumeration and dense slice ranks
-    assert staircase_dimension(locus.jacobian_basis.leading_monomials(), n) == 1
+    assert staircase_dimension(K.basis.leading_monomials(), n) == 1
     gs_terms = [dict(g.terms) for g in K.diff_images]
     for k in range(n + 1):
         oracle_total = sum(
@@ -122,7 +122,7 @@ def test_criterion_03_cusp():
     crit = build_crit(x**3 - y**2)
     assert milnor_number(crit) == 2
     # staircase oracle on the Jacobian leading terms
-    assert staircase_dimension(crit.locus.jacobian_basis.leading_monomials(), 2) == 2
+    assert staircase_dimension(crit.basis.leading_monomials(), 2) == 2
 
 
 @criterion(4, "family x^2 with tangent y: splitting, Q = (2), comparison equal")
@@ -169,7 +169,7 @@ def test_criterion_05_degenerate_family_and_biconditional():
 def test_criterion_06_shifted_cotangent_of_plane():
     n = 2
     f = MultiPoly.constant(5, n)
-    K = build_crit(f).complex
+    K = build_crit(f)
     assert all(g.is_zero() for g in K.diff_images)
     bound = 6
     report = koszul_homology(K, bound=bound)
@@ -198,7 +198,7 @@ def test_criterion_08_hessian_pairing_identity():
         n = rng.randint(1, 3)
         f = random_poly(rng, n, max_degree=4)
         crit = build_crit(f)
-        K, h = crit.complex, hessian(crit).matrix
+        K, h = crit, hessian(crit)
         for i in range(n):
             _, delta = de_rham_and_internal(FormElement.dxi(i, n), K)
             expected = FormElement.zero(n)
@@ -278,8 +278,7 @@ def test_criterion_11_closedness_gating():
         else:
             alpha = OneForm(tuple(random_poly(rng, n, max_degree=3) for _ in range(n)))
         result = zero_locus_one_form(alpha)
-        record = omega_minus_one(n, result.complex)
-        assert one_form_closed(alpha) == record.internal_closed
+        assert one_form_closed(alpha) == omega_minus_one(n, result.complex)
         if result.closed:
             closed_seen += 1
         else:

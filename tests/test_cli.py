@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from critlocus import cli, critical, koszul, symplectic
+from critlocus import cli, critical, koszul, parse_polynomial, symplectic
 from critlocus.cli import (
     AnalysisRequest,
     InputError,
@@ -207,6 +207,15 @@ class TestInputValidation:
         with pytest.raises(InputError):
             run(req("family", ["x", "y"], functional="x^2", tangent=("q",)))
 
+    @pytest.mark.parametrize(
+        "variables, f, name", [("2,y", "y^2", "2"), ("a b,y", "y", "a b"), ("x,y^2", "x", "y^2")]
+    )
+    def test_name_outside_the_grammar_exits_2(self, variables, f, name, capsys):
+        assert main(["analyze", "--vars", variables, "--f", f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: invalid variable name {name!r}: ")
+
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -271,8 +280,8 @@ class TestOptionValues:
 
 
 class TestComputeOnce:
-    """One request builds one Crit(f): one Groebner basis of the Jacobian
-    ideal and one homology per bound.  It computes only what its report
+    """One request builds one Koszul complex: one Groebner basis of the
+    Jacobian ideal and one homology per bound.  It computes only what its report
     reads: no 2-form record outside ``oneform``, no representatives."""
 
     @pytest.fixture
@@ -290,8 +299,7 @@ class TestComputeOnce:
 
         for module, name in (
             (koszul, "buchberger"),
-            (critical, "koszul_homology"),
-            (cli, "koszul_homology"),
+            (koszul, "koszul_homology"),
             (symplectic, "omega_minus_one"),
             (cli, "omega_minus_one"),
             (symplectic, "de_rham_and_internal"),
@@ -322,8 +330,22 @@ class TestComputeOnce:
 
     def test_oneform(self, calls):
         run(req("oneform", ["x", "y"], one_form="y;x"))
+        assert calls["koszul_homology"] == 1
         assert calls["omega_minus_one"] == 1
         assert calls["de_rham_and_internal"] == 1  # delta(omega) only
+
+    def test_homology_is_computed_once_per_bound(self, calls):
+        K = critical.build_crit(parse_polynomial("x^2*y", ["x", "y"]))
+        for bound in (None, 6, 8):
+            assert K.homology(bound) is K.homology(bound)
+        assert calls["koszul_homology"] == 3
+
+    def test_dimension_is_read_from_the_complex(self, monkeypatch):
+        monkeypatch.setattr(koszul.KoszulComplex, "dimension", property(lambda K: 5))
+        analyze = run(req("analyze", ["x", "y"], functional="x^2+y^2")).data
+        oneform = run(req("oneform", ["x", "y"], one_form="y;x")).data
+        assert analyze["strict_locus"]["dimension"] == 5
+        assert oneform["one_form"]["zero_locus_dimension"] == 5
 
     def test_analyze_builds_no_representatives(self, calls):
         report = run(req("analyze", ["x", "y"], functional="x^3+y^3"))
@@ -398,13 +420,13 @@ class TestInternalError:
     """A failed internal cross-check exits with status 4, not a traceback."""
 
     def test_cross_check_failure_exits_4(self, monkeypatch, capsys):
-        real = critical.koszul_homology
+        real = koszul.koszul_homology
 
         def contradicting(K, bound=None):
             report = real(K, bound)
             return dataclasses.replace(report, dimensions={**report.dimensions, 1: 1})
 
-        monkeypatch.setattr(critical, "koszul_homology", contradicting)
+        monkeypatch.setattr(koszul, "koszul_homology", contradicting)
         assert main(["analyze", "--vars", "x,y", "--f", "x^2+y^2"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -416,7 +438,7 @@ class TestInternalError:
         real = cli.omega_minus_one
 
         def flipped(arity, K):
-            return symplectic.OmegaVerification(not real(arity, K).internal_closed)
+            return not real(arity, K)
 
         monkeypatch.setattr(cli, "omega_minus_one", flipped)
         assert main(["oneform", "--vars", "x,y", "--alpha", alpha]) == 4

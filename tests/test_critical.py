@@ -43,26 +43,23 @@ def variables(n):
 class TestBuildCrit:
     def test_morse_plane(self):
         x, y = variables(2)
-        crit = build_crit(x**2 + y**2)
-        K, locus = crit.complex, crit.locus
+        K = build_crit(x**2 + y**2)
         assert K.diff_images == (2 * x, 2 * y)
         assert K.origin_tag == "critical_locus"
-        assert locus.zero_dimensional and locus.dimension == 0
+        assert K.zero_dimensional and K.dimension == 0
         for g in K.diff_images:
-            assert normal_form(g, locus.jacobian_basis).is_zero()
+            assert normal_form(g, K.basis).is_zero()
 
     def test_constant_functional_is_shifted_cotangent(self):
-        crit = build_crit(MultiPoly.constant(7, 2))
-        K, locus = crit.complex, crit.locus
+        K = build_crit(MultiPoly.constant(7, 2))
         assert all(g.is_zero() for g in K.diff_images)
-        assert locus.dimension == 2 and not locus.zero_dimensional
+        assert K.dimension == 2 and not K.zero_dimensional
 
     def test_degenerate_family(self):
         x, y = variables(2)
-        crit = build_crit(x**2 * y)
-        K, locus = crit.complex, crit.locus
+        K = build_crit(x**2 * y)
         assert K.diff_images == (2 * x * y, x**2)
-        assert locus.dimension == 1 and not locus.zero_dimensional
+        assert K.dimension == 1 and not K.zero_dimensional
 
 
 class TestMilnorNumber:
@@ -92,7 +89,7 @@ class TestMilnorNumber:
             f = random_poly(rng, n, max_degree=3)
             crit = build_crit(f)
             mu = milnor_number(crit)
-            oracle = staircase_dimension(crit.locus.jacobian_basis.leading_monomials(), n)
+            oracle = staircase_dimension(crit.basis.leading_monomials(), n)
             assert (mu == INFINITE and oracle is None) or mu == oracle
 
 
@@ -131,24 +128,24 @@ class TestLambdaEquivalence:
 class TestHessian:
     def test_direct_second_partials(self):
         x, y = variables(2)
-        h = hessian(build_crit(x**2 + 3 * x * y)).matrix
+        h = hessian(build_crit(x**2 + 3 * x * y))
         assert h.evaluate([F(0), F(0)]) == [[F(2), F(3)], [F(3), F(0)]]
 
     def test_blocks_of_partial_functional(self):
         x, y = variables(2)
-        h = hessian(build_crit(x**2)).matrix
+        h = hessian(build_crit(x**2))
         assert h.entry(0, 0) == MultiPoly.constant(2, 2)
         assert h.entry(0, 1).is_zero() and h.entry(1, 1).is_zero()
 
     def test_symmetry_random(self, rng):
         for _ in range(20):
             f = random_poly(rng, 3, max_degree=4)
-            assert is_symmetric(hessian(build_crit(f)).matrix)
+            assert is_symmetric(hessian(build_crit(f)))
 
     def test_equals_jacobian_of_partials(self, rng):
         for _ in range(10):
             f = random_poly(rng, 2, max_degree=4)
-            h = hessian(build_crit(f)).matrix
+            h = hessian(build_crit(f))
             for i in range(2):
                 for j in range(2):
                     assert h.entry(i, j) == f.partial(i).partial(j)
@@ -160,9 +157,10 @@ class TestHessianIsJacobian:
 
     def test_hessian_is_the_cached_jacobian(self, rng):
         for _ in range(10):
-            crit = build_crit(random_poly(rng, 3, max_degree=4))
-            assert hessian(crit).matrix.entries is crit.complex.jacobian
-            assert hessian(build_crit(crit.f)).matrix == hessian(crit).matrix
+            f = random_poly(rng, 3, max_degree=4)
+            crit = build_crit(f)
+            assert hessian(crit).entries is crit.jacobian
+            assert hessian(build_crit(f)) == hessian(crit)
 
     def test_cotangent_matrix_is_the_transposed_jacobian(self, rng):
         for _ in range(10):
@@ -174,7 +172,7 @@ class TestHessianIsJacobian:
             for i, c in enumerate(grad):
                 f = f - MultiPoly.variable(i, n) * c
             crit = build_crit(f)
-            K = crit.complex
+            K = crit
             for i, g in enumerate(K.diff_images):
                 assert K.jacobian[i] == tuple(g.partial(j) for j in range(n))
             at = PolyMatrix(K.jacobian).evaluate(point)
@@ -386,7 +384,7 @@ class TestDiagonalQuadratics:
                 f = f + MultiPoly.variable(i, n) ** 2 * F(rng.choice([1, 2, 3, -2]))
             crit = build_crit(f)
             assert milnor_number(crit) == 1
-            rep = koszul_homology(crit.complex, bound=6)
+            rep = koszul_homology(crit, bound=6)
             assert all(rep.dimensions[k] == 0 for k in range(1, n + 1))
             assert rep.dimensions[0] == 1
 
@@ -459,7 +457,7 @@ class TestSplittingByRestriction:
             else:
                 f = _normal_quadratic(rng, n)
             crit = build_crit(f)
-            bound = minimal_safe_bound(crit.complex) + 1
+            bound = minimal_safe_bound(crit) + 1
             for size in range(n + 1):
                 for tangent in itertools.combinations(range(n), size):
                     s = SplittingData.from_tangent(tangent, n)

@@ -450,6 +450,48 @@ class TestHilbertSeriesRoute:
         assert captured.err.startswith("error: internal cross-check failed: ")
 
 
+class TestDepthRoute:
+    """Route B: a graded report has no H_k above the locus dimension, and no
+    homology at all on an empty locus (depth sensitivity)."""
+
+    @staticmethod
+    def move_up(monkeypatch, k):
+        """Move the first nonzero entry of row k - 1 up to row k (or put a 1
+        in row k when row k - 1 is zero)."""
+        real = koszul._filtered_homology
+
+        def moved(*args):
+            table, reps = real(*args)
+            row = table[k - 1]
+            d = next((d for d, v in enumerate(row) if v), 0)
+            row[d] -= bool(row[d])
+            table[k][d] += 1
+            return table, reps
+
+        monkeypatch.setattr(koszul, "_filtered_homology", moved)
+
+    @pytest.mark.parametrize(
+        "f, k, where",
+        [(["x,y", "x^2*y"], 2, "has dimension 1"), (["x", "x"], 1, "is empty")],
+        ids=["hilbert", "empty"],
+    )
+    def test_homology_above_the_dimension_exits_4(self, f, k, where, monkeypatch, capsys):
+        self.move_up(monkeypatch, k)
+        assert cli.main(["analyze", "--vars", f[0], "--f", f[1]]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: internal cross-check failed: H_{k} is nonzero but the locus {where}: "
+            "depth sensitivity fails\n"
+        )
+
+    def test_raises_from_the_library(self, monkeypatch):
+        self.move_up(monkeypatch, 2)
+        x, y = variables(2)
+        with pytest.raises(EngineError, match="depth sensitivity"):
+            koszul_homology(crit(x**2 * y), 4)
+
+
 UNGRADED = ["analyze", "--vars", "x,y", "--f", "-2*x^2*y^2+5*x^3+4*x*y^2+4*y^3"]
 
 

@@ -49,7 +49,7 @@ class TestZeroLocus:
             n = rng.randint(1, 3)
             f = random_poly(rng, n, max_degree=3)
             result = zero_locus_one_form(differential_of(f))
-            K = build_crit(f).complex
+            K = build_crit(f)
             assert result.complex.diff_images == K.diff_images
             assert result.closed
 
@@ -95,13 +95,13 @@ class TestOmegaMinusOne:
     def test_univariate_morse_all_checks(self):
         x = variables(1)[0]
         K = KoszulComplex(1, (2 * x,), "critical_locus")
-        record = omega_minus_one(1, K)
+        internal_closed = omega_minus_one(1, K)
         omega, pairing, invertible = pairing_form(1)
         d_lam, _ = de_rham_and_internal(tautological_one_form(1), K)
         d_omega, _ = de_rham_and_internal(omega, K)
         assert d_lam == omega  # omega is the de Rham differential of lambda
         assert d_omega.is_zero()
-        assert record.internal_closed
+        assert internal_closed
         assert pairing == ((F(1),),)
         assert invertible
 
@@ -109,15 +109,13 @@ class TestOmegaMinusOne:
         for _ in range(20):
             n = rng.randint(1, 3)
             f = random_poly(rng, n, max_degree=4)
-            K = build_crit(f).complex
-            record = omega_minus_one(n, K)
-            assert record.internal_closed  # symmetry of second partials
+            K = build_crit(f)
+            assert omega_minus_one(n, K)  # symmetry of second partials
 
     def test_non_closed_one_form_residue(self):
         y = variables(2)[1]
         K = KoszulComplex(2, (y, MultiPoly.zero(2)), "one_form")
-        record = omega_minus_one(2, K)
-        assert not record.internal_closed
+        assert not omega_minus_one(2, K)
         _, residue = de_rham_and_internal(pairing_form(2)[0], K)
         # residue is (-1) * dx^dy
         from critlocus import CdgaElement, FormElement
@@ -147,5 +145,4 @@ class TestOmegaMinusOne:
             n = rng.randint(1, 3)
             alpha = random_one_form(rng, n)
             result = zero_locus_one_form(alpha)
-            record = omega_minus_one(n, result.complex)
-            assert result.closed == record.internal_closed
+            assert result.closed == omega_minus_one(n, result.complex)

@@ -8,13 +8,13 @@ from fractions import Fraction
 from critlocus import (
     INFINITE,
     MultiPoly,
-    OneForm,
     SplittingData,
     build_crit,
     lambda_equivalence_verdict,
     milnor_number,
     normal_hessian,
     omega_minus_one,
+    one_form_closed,
     phi_comparison,
     point_report,
     validate_splitting,
@@ -74,13 +74,13 @@ def show_family(label, text, names, tangent, bound=8):
 
 
 def show_one_form(label, components, names):
-    comps = tuple(poly(c, names) for c in components)
-    alpha = OneForm(comps)
-    result = zero_locus_one_form(alpha)
-    internal_closed = omega_minus_one(len(names), result.complex)
+    K = zero_locus_one_form([poly(c, names) for c in components])  # Z(alpha)
+    closed = one_form_closed(K)
+    internal_closed = omega_minus_one(K)
     print(f"== {label}: alpha = ({'; '.join(components)})")
-    print(f"   closed: {result.closed}, Lagrangian section: {result.lagrangian_flag}")
-    print(f"   zero locus dimension: {result.complex.dimension}")
+    # a 1-form section is Lagrangian exactly when the form is closed
+    print(f"   closed: {closed}, Lagrangian section: {closed}")
+    print(f"   zero locus dimension: {K.dimension}")
     print(f"   pairing-form internal differential vanishes: {internal_closed}")
     print()
 

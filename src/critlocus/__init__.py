@@ -41,7 +41,6 @@ from .koszul import (
     homology_representatives,
     koszul_differential,
     koszul_homology,
-    wedge,
 )
 from .critical import (
     INFINITE,
@@ -62,8 +61,6 @@ from .critical import (
     validate_splitting,
 )
 from .symplectic import (
-    OneForm,
-    ZeroLocusResult,
     omega_minus_one,
     one_form_closed,
     zero_locus_one_form,

@@ -35,7 +35,7 @@ from .critical import (
 )
 from .koszul import BoundTooSmall, KoszulComplex
 from .polynomials import NAME, ArityError, GREVLEX, MultiPoly, ParseError, parse_polynomial
-from .symplectic import OneForm, omega_minus_one, zero_locus_one_form
+from .symplectic import omega_minus_one, one_form_closed, zero_locus_one_form
 
 
 class InputError(ValueError):
@@ -253,20 +253,22 @@ def _oneform(request: AnalysisRequest, names: list[str], data: dict) -> bool:
             raise InputError(f"cannot parse one-form component: {exc}") from None
     if len(comps) != len(names):
         raise InputError(f"one-form has {len(comps)} components, expected {len(names)}")
-    result = zero_locus_one_form(OneForm(tuple(comps)))
-    K = result.complex
-    internal_closed = omega_minus_one(len(names), K)
-    if result.closed != internal_closed:
+    K = zero_locus_one_form(comps)
+    closed = one_form_closed(K)
+    internal_closed = omega_minus_one(K)
+    if closed != internal_closed:
         raise EngineError(
-            f"the curl (closed: {result.closed}) and the internal differential of the "
+            f"the curl (closed: {closed}) and the internal differential of the "
             f"pairing form (vanishes: {internal_closed}) disagree"
         )
     hsection, inconclusive = _homology_section(K, request.bound)
     data["one_form"] = {
         "components": [_poly_str(c, names) for c in comps],
-        "closed": result.closed,
-        "lagrangian_flag": result.lagrangian_flag,
-        "symplectic_claim": result.symplectic_claim,
+        # a 1-form section is Lagrangian, and its isotropic structure
+        # symplectic, exactly when the form is closed
+        "closed": closed,
+        "lagrangian_flag": closed,
+        "symplectic_claim": closed,
         "pairing_internal_differential_vanishes": internal_closed,
         "zero_locus_groebner_basis": [_poly_str(g, names) for g in K.basis.generators],
         "zero_locus_dimension": "empty" if K.dimension is None else K.dimension,

@@ -223,11 +223,6 @@ class CdgaElement(_SparseElement):
         return "CdgaElement(" + " + ".join(bits) + ")"
 
 
-def wedge(a: CdgaElement, b: CdgaElement) -> CdgaElement:
-    """Graded-commutative product in the Koszul algebra."""
-    return a * b
-
-
 @dataclass(frozen=True)
 class KoszulComplex:
     """(Sym T[1], contraction along g): odd generators with delta(xi_i) = g_i.
@@ -351,8 +346,8 @@ class FormElement(_SparseElement):
 
     # -- arithmetic --------------------------------------------------------
 
-    def wedge(self, other: "FormElement") -> "FormElement":
-        """Graded product.  Signs: xi and dx odd, dxi even."""
+    def __mul__(self, other: "FormElement") -> "FormElement":
+        """Graded (wedge) product.  Signs: xi and dx odd, dxi even."""
         self._check(other)
         # moving the xi factors of a right coefficient past an odd dx block
         # negates its odd-xi terms
@@ -371,8 +366,6 @@ class FormElement(_SparseElement):
                 key = (dx, tuple(sorted(dxi1 + dxi2)))
                 _collect(accum, key, product if sign == 1 else -product)
         return FormElement(accum, self.arity)
-
-    __mul__ = wedge
 
     def __repr__(self):
         if not self.terms:

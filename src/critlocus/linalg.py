@@ -249,13 +249,6 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> MultiPoly:
         return self.entries[i][j]
 
-    def evaluate(self, point: Sequence) -> Matrix:
-        """Every entry at the point, by one ``point_evaluator``."""
-        if self.ncols and len(point) != self.arity:
-            raise ArityError(f"point has {len(point)} coordinates, expected {self.arity}")
-        value = point_evaluator(point)
-        return [[value(p) for p in row] for row in self.entries]
-
     def det(self) -> MultiPoly:
         """Determinant by cofactor expansion; fine for small matrices."""
         if self.nrows != self.ncols:

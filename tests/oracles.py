@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from critlocus import CdgaElement, FormElement, MultiPoly, OneForm, ParseError, PolyMatrix
+from critlocus import (
+    CdgaElement,
+    FormElement,
+    KoszulComplex,
+    MultiPoly,
+    ParseError,
+    PolyMatrix,
+    zero_locus_one_form,
+)
 from critlocus.polynomials import mono_div, mono_divides
 
 
@@ -331,8 +339,8 @@ def reference_reduce(p, divisors, order):
 
 
 def differential_of(f):
-    """The 1-form df = sum (df/dx_i) dx_i."""
-    return OneForm(tuple(f.partial(i) for i in range(f.arity)))
+    """The 1-form df = sum (df/dx_i) dx_i, as its zero-locus complex."""
+    return zero_locus_one_form([f.partial(i) for i in range(f.arity)])
 
 
 def tautological_one_form(arity):
@@ -342,13 +350,13 @@ def tautological_one_form(arity):
 
 @dataclass(frozen=True)
 class PullbackRecord:
-    pulled_back: OneForm
+    pulled_back: KoszulComplex
     matches_input: bool
 
 
 def pullback_tautological(alpha):
-    """Substitute xi_i -> a_i in the tautological 1-form; the result must be
-    alpha itself."""
+    """Substitute xi_i -> a_i in the tautological 1-form, alpha given by its
+    zero-locus complex with components a_i; the result must be alpha itself."""
     n = alpha.arity
     comps = [MultiPoly.zero(n)] * n
     for ((i,), dxi), coeff in tautological_one_form(n).terms.items():
@@ -356,8 +364,8 @@ def pullback_tautological(alpha):
         value = MultiPoly.zero(n)
         for xi, poly in coeff.terms.items():
             for gen in xi:  # xi-degree <= 1 here, substitution is unambiguous
-                poly = poly * alpha.components[gen]
+                poly = poly * alpha.diff_images[gen]
             value = value + poly
         comps[i] = value
-    pulled = OneForm(tuple(comps))
+    pulled = zero_locus_one_form(comps)
     return PullbackRecord(pulled_back=pulled, matches_input=pulled == alpha)

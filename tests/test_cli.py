@@ -437,8 +437,8 @@ class TestInternalError:
     def test_closedness_routes_disagree_exits_4(self, alpha, monkeypatch, capsys):
         real = cli.omega_minus_one
 
-        def flipped(arity, K):
-            return not real(arity, K)
+        def flipped(K):
+            return not real(K)
 
         monkeypatch.setattr(cli, "omega_minus_one", flipped)
         assert main(["oneform", "--vars", "x,y", "--alpha", alpha]) == 4

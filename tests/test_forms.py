@@ -30,11 +30,11 @@ forms = st.dictionaries(st.tuples(odd_keys, even_keys), cdgas, min_size=1, max_s
 @settings(max_examples=60, deadline=None)
 @given(forms, forms, forms)
 def test_wedge_is_associative(a, b, c):
-    assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
+    assert (a * b) * c == a * (b * c)
 
 
 @settings(max_examples=60, deadline=None)
 @given(cdgas, cdgas)
 def test_wedge_restricts_to_the_cdga_product(e1, e2):
-    product = FormElement.from_cdga(e1).wedge(FormElement.from_cdga(e2))
+    product = FormElement.from_cdga(e1) * FormElement.from_cdga(e2)
     assert product == FormElement.from_cdga(e1 * e2)

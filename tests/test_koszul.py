@@ -19,7 +19,6 @@ from critlocus import (
     koszul_differential,
     koszul_homology,
     parse_polynomial,
-    wedge,
 )
 from critlocus import cli, koszul
 from critlocus.groebner import is_zero_dimensional
@@ -88,18 +87,18 @@ class TestWedge:
         n = 2
         a = CdgaElement.xi((0,), n)
         b = CdgaElement.xi((1,), n)
-        assert wedge(a, b) == -wedge(b, a)
+        assert a * b == -(b * a)
 
     def test_square_of_odd_generator(self):
         a = CdgaElement.xi((0,), 2)
-        assert wedge(a, a).is_zero()
+        assert (a * a).is_zero()
 
     def test_polynomial_coefficients_central(self):
         n = 2
         x, y = variables(n)
         a = CdgaElement.xi((0,), n, x)
         b = CdgaElement.xi((1,), n, y)
-        assert wedge(a, b) == CdgaElement.xi((0, 1), n, x * y)
+        assert a * b == CdgaElement.xi((0, 1), n, x * y)
 
     def test_sign_soundness_500_pairs(self):
         rng = random.Random(99)
@@ -110,11 +109,11 @@ class TestWedge:
             a = CdgaElement({ka: random_poly(rng, n) or MultiPoly.one(n)}, n)
             b = CdgaElement({kb: random_poly(rng, n) or MultiPoly.one(n)}, n)
             sign = -1 if (len(ka) * len(kb)) % 2 else 1
-            assert wedge(a, b) == wedge(b, a).scale(sign)
+            assert a * b == (b * a).scale(sign)
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityError):
-            wedge(CdgaElement.unit(1), CdgaElement.unit(2))
+            CdgaElement.unit(1) * CdgaElement.unit(2)
 
 
 class TestKoszulDifferential:
@@ -151,9 +150,9 @@ class TestKoszulDifferential:
             a = CdgaElement({ka: random_poly(rng, n) or MultiPoly.one(n)}, n)
             b_key = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
             b = CdgaElement({b_key: random_poly(rng, n) or MultiPoly.one(n)}, n)
-            lhs = koszul_differential(K, wedge(a, b))
+            lhs = koszul_differential(K, a * b)
             sign = -1 if len(ka) % 2 else 1
-            rhs = wedge(koszul_differential(K, a), b) + wedge(a, koszul_differential(K, b)).scale(sign)
+            rhs = koszul_differential(K, a) * b + (a * koszul_differential(K, b)).scale(sign)
             assert lhs == rhs
 
 
@@ -212,10 +211,10 @@ class TestDeRhamAndInternal:
             b, _ = random_single_term_form(rng, n)
             da, dla = de_rham_and_internal(a, K)
             db, dlb = de_rham_and_internal(b, K)
-            dab, dlab = de_rham_and_internal(a.wedge(b), K)
+            dab, dlab = de_rham_and_internal(a * b, K)
             sign = -1 if pa % 2 else 1
-            assert dab == da.wedge(b) + a.wedge(db).scale(sign)
-            assert dlab == dla.wedge(b) + a.wedge(dlb).scale(sign)
+            assert dab == da * b + (a * db).scale(sign)
+            assert dlab == dla * b + (a * dlb).scale(sign)
 
 
 class TestHomology:

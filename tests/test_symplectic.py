@@ -4,9 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from critlocus import (
+    ArityError,
     KoszulComplex,
     MultiPoly,
-    OneForm,
     build_crit,
     de_rham_and_internal,
     omega_minus_one,
@@ -24,17 +24,17 @@ def variables(n):
 
 
 def random_one_form(rng, n, max_degree=3):
-    return OneForm(tuple(random_poly(rng, n, max_degree) for _ in range(n)))
+    return zero_locus_one_form([random_poly(rng, n, max_degree) for _ in range(n)])
 
 
 class TestClosedness:
     def test_exact_form(self):
         x, y = variables(2)
-        assert one_form_closed(OneForm((y, x)))
+        assert one_form_closed(zero_locus_one_form((y, x)))
 
     def test_curl_detection(self):
         x, y = variables(2)
-        assert not one_form_closed(OneForm((y, MultiPoly.zero(2))))
+        assert not one_form_closed(zero_locus_one_form((y, MultiPoly.zero(2))))
 
     def test_differentials_are_closed(self, rng):
         for _ in range(30):
@@ -48,37 +48,44 @@ class TestZeroLocus:
         for _ in range(20):
             n = rng.randint(1, 3)
             f = random_poly(rng, n, max_degree=3)
-            result = zero_locus_one_form(differential_of(f))
+            alpha = differential_of(f)
             K = build_crit(f)
-            assert result.complex.diff_images == K.diff_images
-            assert result.closed
+            assert alpha.diff_images == K.diff_images
+            assert one_form_closed(alpha)
 
     def test_closed_swap_form(self):
         x, y = variables(2)
-        result = zero_locus_one_form(OneForm((y, x)))
-        assert result.closed and result.lagrangian_flag and result.symplectic_claim
+        K = zero_locus_one_form((y, x))
+        assert isinstance(K, KoszulComplex) and K.origin_tag == "one_form"
+        assert one_form_closed(K)
         from critlocus import koszul_homology
 
-        rep = koszul_homology(result.complex, bound=4)
+        rep = koszul_homology(K, bound=4)
         assert rep.mode == "finite" and rep.dimensions[0] == 1
 
     def test_non_closed_still_builds_complex(self):
         x, y = variables(2)
-        result = zero_locus_one_form(OneForm((y, MultiPoly.zero(2))))
-        assert not result.closed and not result.lagrangian_flag
-        assert not result.symplectic_claim
-        assert result.complex.diff_images == (y, MultiPoly.zero(2))
+        K = zero_locus_one_form((y, MultiPoly.zero(2)))
+        assert not one_form_closed(K)
+        assert K.diff_images == (y, MultiPoly.zero(2))
+
+    def test_complex_checks_the_components(self):
+        x, y = variables(2)
+        with pytest.raises(ArityError):
+            zero_locus_one_form((y,))  # one component per ambient variable
+        with pytest.raises(ArityError):
+            zero_locus_one_form((y, MultiPoly.variable(0, 1)))  # shared arity
 
 
 class TestPullbackTautological:
     def test_polynomial_section(self):
         x, y = variables(2)
-        alpha = OneForm((x**2, x * y))
+        alpha = zero_locus_one_form((x**2, x * y))
         record = pullback_tautological(alpha)
         assert record.matches_input and record.pulled_back == alpha
 
     def test_zero_section(self):
-        record = pullback_tautological(OneForm.zero(3))
+        record = pullback_tautological(zero_locus_one_form([MultiPoly.zero(3)] * 3))
         assert record.matches_input
 
     def test_identity_on_100_random_forms(self):
@@ -95,7 +102,7 @@ class TestOmegaMinusOne:
     def test_univariate_morse_all_checks(self):
         x = variables(1)[0]
         K = KoszulComplex(1, (2 * x,), "critical_locus")
-        internal_closed = omega_minus_one(1, K)
+        internal_closed = omega_minus_one(K)
         omega, pairing, invertible = pairing_form(1)
         d_lam, _ = de_rham_and_internal(tautological_one_form(1), K)
         d_omega, _ = de_rham_and_internal(omega, K)
@@ -110,12 +117,12 @@ class TestOmegaMinusOne:
             n = rng.randint(1, 3)
             f = random_poly(rng, n, max_degree=4)
             K = build_crit(f)
-            assert omega_minus_one(n, K)  # symmetry of second partials
+            assert omega_minus_one(K)  # symmetry of second partials
 
     def test_non_closed_one_form_residue(self):
         y = variables(2)[1]
         K = KoszulComplex(2, (y, MultiPoly.zero(2)), "one_form")
-        assert not omega_minus_one(2, K)
+        assert not omega_minus_one(K)
         _, residue = de_rham_and_internal(pairing_form(2)[0], K)
         # residue is (-1) * dx^dy
         from critlocus import CdgaElement, FormElement
@@ -144,5 +151,4 @@ class TestOmegaMinusOne:
         for _ in range(60):
             n = rng.randint(1, 3)
             alpha = random_one_form(rng, n)
-            result = zero_locus_one_form(alpha)
-            assert result.closed == omega_minus_one(n, result.complex)
+            assert one_form_closed(alpha) == omega_minus_one(alpha)

@@ -1,5 +1,6 @@
 """Every callable that the benchmark tracer wraps still exists, and the
-command line reaches each traced critical-locus analysis.
+command line reaches each traced critical-locus analysis and the traced
+1-form path.
 
 ``perfbench/spans.py`` names the traced callables as ``(module, path)``
 strings, so a rename in ``critlocus`` would only surface when a traced
@@ -36,17 +37,31 @@ def test_traced_name_resolves(module, path):
     assert callable(vars(owner).get(attr)), f"critlocus.{module}.{path}"
 
 
-def test_requests_reach_every_traced_critical_analysis(capsys):
-    spans = _spans()
-    tracer = spans.Tracer()
+def _traced_calls(capsys, *requests):
+    """Calls per traced name while ``cli.main`` answers each request."""
+    tracer = _spans().Tracer()
     tracer.install()
     try:
-        assert cli.main(["analyze", "--vars", "x,y", "--f", "x^2+y^2", "--point", "0,0"]) == 0
-        assert cli.main(["family", "--vars", "x,y", "--f", "x^2*y", "--tangent", "y"]) == 0
+        for argv in requests:
+            assert cli.main(argv) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    calls = {name: row["calls"] for name, row in tracer.summary().items()}
-    critical = [f"critical.{path}" for module, path in spans.TRACED if module == "critical"]
+    return {name: row["calls"] for name, row in tracer.summary().items()}
+
+
+def test_requests_reach_every_traced_critical_analysis(capsys):
+    calls = _traced_calls(
+        capsys,
+        ["analyze", "--vars", "x,y", "--f", "x^2+y^2", "--point", "0,0"],
+        ["family", "--vars", "x,y", "--f", "x^2*y", "--tangent", "y"],
+    )
+    critical = [f"critical.{path}" for module, path in _spans().TRACED if module == "critical"]
     assert len(critical) == 7
     assert [name for name in critical if not calls.get(name)] == []
+
+
+def test_oneform_reaches_the_traced_symplectic_names(capsys):
+    calls = _traced_calls(capsys, ["oneform", "--vars", "x,y", "--alpha", "y;x"])
+    assert calls.get("symplectic.zero_locus_one_form") == 1
+    assert calls.get("symplectic.omega_minus_one") == 1
